@@ -34,10 +34,75 @@ impl Tier {
     }
 }
 
+/// The per-tier moments every upper-layer measure is built from: one
+/// machine-repair solve for a tier of `count` servers, one pass over its
+/// distribution, against a quorum `q`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TierMoments {
+    /// `P(up ≥ q)`, clamped to `[0, 1]`.
+    pub p: f64,
+    /// `E[up · 1{up ≥ q}]`.
+    pub m: f64,
+    /// `E[up]`.
+    pub mean: f64,
+}
+
+impl TierMoments {
+    /// Solves the tier's chain and reads off its moments.
+    ///
+    /// # Errors
+    ///
+    /// Propagates invalid-rate errors.
+    pub fn of(count: u32, rates: AggregatedRates, quorum: u32) -> Result<Self, SolveError> {
+        let dist = down_distribution(count, rates)?;
+        let (mut above, mut below, mut below_up, mut m) = (0.0, 0.0, 0.0, 0.0);
+        for (down, &prob) in dist.iter().enumerate() {
+            let up = count - down as u32;
+            if up >= quorum {
+                above += prob;
+                m += prob * f64::from(up);
+            } else {
+                below += prob;
+                below_up += prob * f64::from(up);
+            }
+        }
+        // The complement of a small below-quorum mass is the accurate
+        // form when `p` is near 1 (summed up-states can land a hair above
+        // 1); a small `p` is summed directly, where `1 − below` would
+        // cancel.
+        let p = if below < 0.5 { 1.0 - below } else { above };
+        Ok(TierMoments {
+            p: p.clamp(0.0, 1.0),
+            m,
+            mean: m + below_up,
+        })
+    }
+}
+
+/// Steady-state distribution of the number of down servers in a tier of
+/// `count` servers: independent patch clocks make it a machine-repair
+/// birth–death chain.
+fn down_distribution(count: u32, rates: AggregatedRates) -> Result<Vec<f64>, SolveError> {
+    BirthDeath::machine_repair(count as usize, rates.lambda_eq, rates.mu_eq).steady_state()
+}
+
+/// The steady-state measures of one design's upper layer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpperMeasures {
+    /// Capacity-oriented availability ([`NetworkModel::coa`]).
+    pub coa: f64,
+    /// Probability that every tier has a server up
+    /// ([`NetworkModel::availability`]).
+    pub availability: f64,
+    /// Expected running servers ([`NetworkModel::expected_up_servers`]).
+    pub expected_up: f64,
+}
+
 /// The composed network model: independent per-tier birth–death processes
-/// (the paper's marking-dependent `λ_eq·#Psvcup` patch transitions), with
-/// reward measures evaluated either in product form or through an explicit
-/// SRN.
+/// (the paper's marking-dependent `λ_eq·#Psvcup` patch transitions). The
+/// steady-state measures come from one exact factored kernel over
+/// per-tier [`TierMoments`]; the explicit SRN
+/// ([`to_srn`](Self::to_srn)) is an independent cross-check.
 ///
 /// # Examples
 ///
@@ -93,13 +158,17 @@ impl NetworkModel {
     /// Panics when `i` is out of range.
     pub fn tier_down_distribution(&self, i: usize) -> Result<Vec<f64>, SolveError> {
         let t = &self.tiers[i];
-        BirthDeath::machine_repair(t.count as usize, t.rates.lambda_eq, t.rates.mu_eq)
-            .steady_state()
+        down_distribution(t.count, t.rates)
     }
 
     /// Expected steady-state reward of an arbitrary function of the
-    /// per-tier *up* counts, evaluated in product form (tiers are
-    /// stochastically independent).
+    /// per-tier *up* counts, by mixed-radix enumeration of all
+    /// `Π (countᵢ + 1)` joint states (tiers are stochastically
+    /// independent).
+    ///
+    /// Exponential in the tier count: the built-in measures never call
+    /// it. It stays as the test oracle the [`TierMoments`] kernel is
+    /// checked against.
     ///
     /// # Errors
     ///
@@ -144,62 +213,49 @@ impl NetworkModel {
         Ok(total)
     }
 
-    /// Joint states `Π (countᵢ + 1)` the mixed-radix enumeration of
-    /// [`expected_reward`](Self::expected_reward) visits (saturating).
-    fn joint_states(&self) -> u128 {
+    /// Each tier's [`TierMoments`] against its quorum.
+    fn moments(&self, quorum: &[u32]) -> Result<Vec<TierMoments>, SolveError> {
         self.tiers
             .iter()
-            .fold(1u128, |acc, t| acc.saturating_mul(u128::from(t.count) + 1))
-    }
-
-    /// Above this joint-state count the separable reward measures (COA,
-    /// availability, quorum COA, expected up servers) switch from exact
-    /// enumeration to the algebraically identical factored form — the
-    /// enumeration is exponential in the tier count and a fleet-scale
-    /// network (hundreds of tiers) never finishes it. Small networks
-    /// keep the enumeration path so pinned numbers stay bit-identical.
-    const FACTORED_THRESHOLD: u128 = 1 << 20;
-
-    /// Per-tier `(P(upᵢ ≥ qᵢ), E[upᵢ · 1{upᵢ ≥ qᵢ}])` for the factored
-    /// forms.
-    fn tier_moments(&self, quorum: &[u32]) -> Result<Vec<(f64, f64)>, SolveError> {
-        (0..self.tiers.len())
-            .map(|i| {
-                let dist = self.tier_down_distribution(i)?;
-                let count = self.tiers[i].count;
-                let mut p = 0.0;
-                let mut m = 0.0;
-                for (down, &prob) in dist.iter().enumerate() {
-                    let up = count - down as u32;
-                    if up >= quorum[i] {
-                        p += prob;
-                        m += prob * f64::from(up);
-                    }
-                }
-                Ok((p, m))
-            })
+            .zip(quorum)
+            .map(|(t, &q)| TierMoments::of(t.count, t.rates, q))
             .collect()
     }
 
-    /// Factored quorum COA. Tiers are independent, so
-    /// `E[Σᵢ upᵢ · Πⱼ 1{upⱼ ≥ qⱼ}] = Σᵢ mᵢ · Πⱼ≠ᵢ pⱼ`; prefix/suffix
-    /// products keep it `O(n)` without dividing by a possibly-zero `pᵢ`.
-    fn quorum_coa_factored(&self, quorum: &[u32]) -> Result<f64, SolveError> {
-        let moments = self.tier_moments(quorum)?;
-        let n = moments.len();
-        let mut prefix = vec![1.0; n + 1];
-        for (i, &(p, _)) in moments.iter().enumerate() {
-            prefix[i + 1] = prefix[i] * p;
+    /// `(P(every tier meets its quorum), quorum COA)` from per-tier
+    /// moments. Tiers are independent, so
+    /// `E[Σᵢ upᵢ · Πⱼ 1{upⱼ ≥ qⱼ}] = A · Σᵢ E[upᵢ | upᵢ ≥ qᵢ]` with
+    /// `A = Πᵢ pᵢ`. Clamping each conditional mean to the tier size
+    /// keeps the float sum at most `N`, so the COA is `A` times a factor
+    /// of at most 1 and `COA ≤ A` holds bit for bit.
+    fn combine(&self, moments: &[TierMoments]) -> (f64, f64) {
+        let availability: f64 = moments.iter().map(|t| t.p).product();
+        if availability == 0.0 {
+            return (0.0, 0.0);
         }
-        let mut suffix = vec![1.0; n + 1];
-        for i in (0..n).rev() {
-            suffix[i] = suffix[i + 1] * moments[i].0;
-        }
-        let mut up_sum = 0.0;
-        for (i, &(_, m)) in moments.iter().enumerate() {
-            up_sum += prefix[i] * m * suffix[i + 1];
-        }
-        Ok(up_sum / f64::from(self.total_servers()))
+        let up: f64 = moments
+            .iter()
+            .zip(&self.tiers)
+            .map(|(t, tier)| (t.m / t.p).min(f64::from(tier.count)))
+            .sum();
+        let share = up / f64::from(self.total_servers());
+        (availability, availability * share)
+    }
+
+    /// COA, availability and expected up servers from one solve per
+    /// tier — what every design evaluation needs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver errors.
+    pub fn measures(&self) -> Result<UpperMeasures, SolveError> {
+        let moments = self.moments(&vec![1; self.tiers.len()])?;
+        let (availability, coa) = self.combine(&moments);
+        Ok(UpperMeasures {
+            coa,
+            availability,
+            expected_up: moments.iter().map(|t| t.mean).sum(),
+        })
     }
 
     /// The paper's capacity-oriented availability (Table VI, generalized):
@@ -210,17 +266,7 @@ impl NetworkModel {
     ///
     /// Propagates solver errors.
     pub fn coa(&self) -> Result<f64, SolveError> {
-        if self.joint_states() > Self::FACTORED_THRESHOLD {
-            return self.quorum_coa_factored(&vec![1; self.tiers.len()]);
-        }
-        let total = self.total_servers() as f64;
-        self.expected_reward(|ups| {
-            if ups.contains(&0) {
-                0.0
-            } else {
-                ups.iter().map(|&u| u as f64).sum::<f64>() / total
-            }
-        })
+        Ok(self.measures()?.coa)
     }
 
     /// Classical availability: probability that every tier has at least
@@ -230,12 +276,7 @@ impl NetworkModel {
     ///
     /// Propagates solver errors.
     pub fn availability(&self) -> Result<f64, SolveError> {
-        if self.joint_states() > Self::FACTORED_THRESHOLD {
-            let quorum = vec![1; self.tiers.len()];
-            let moments = self.tier_moments(&quorum)?;
-            return Ok(moments.iter().map(|&(p, _)| p).product());
-        }
-        self.expected_reward(|ups| if ups.iter().all(|&u| u > 0) { 1.0 } else { 0.0 })
+        Ok(self.measures()?.availability)
     }
 
     /// Quorum COA: like [`coa`](Self::coa) but tier `i` needs at least
@@ -261,18 +302,7 @@ impl NetworkModel {
                 t.count
             );
         }
-        if self.joint_states() > Self::FACTORED_THRESHOLD {
-            return self.quorum_coa_factored(quorum);
-        }
-        let total = self.total_servers() as f64;
-        let quorum = quorum.to_vec();
-        self.expected_reward(move |ups| {
-            if ups.iter().zip(&quorum).any(|(&u, &q)| u < q) {
-                0.0
-            } else {
-                ups.iter().map(|&u| u as f64).sum::<f64>() / total
-            }
-        })
+        Ok(self.combine(&self.moments(quorum)?).1)
     }
 
     /// Expected number of running servers.
@@ -281,13 +311,7 @@ impl NetworkModel {
     ///
     /// Propagates solver errors.
     pub fn expected_up_servers(&self) -> Result<f64, SolveError> {
-        if self.joint_states() > Self::FACTORED_THRESHOLD {
-            // No indicator: `E[Σᵢ upᵢ]` is the sum of per-tier means.
-            let quorum = vec![0; self.tiers.len()];
-            let moments = self.tier_moments(&quorum)?;
-            return Ok(moments.iter().map(|&(_, m)| m).sum());
-        }
-        self.expected_reward(|ups| ups.iter().map(|&u| u as f64).sum())
+        Ok(self.measures()?.expected_up)
     }
 
     /// Builds the explicit Figure-4 SRN: per tier, a `P<t>up`/`P<t>pd`
@@ -515,7 +539,7 @@ mod tests {
         let net = case_study();
         let coa = net.coa().unwrap();
         let q1 = net.coa_with_quorum(&[1, 1, 1, 1]).unwrap();
-        assert!((coa - q1).abs() < 1e-12);
+        assert_eq!(coa.to_bits(), q1.to_bits());
     }
 
     #[test]
@@ -566,40 +590,124 @@ mod tests {
         assert_eq!(reward(&[1, 0, 2, 1]), 0.0);
     }
 
+    /// `|a - b| ≤ 1e-12 · min(1, max(|a|, |b|))`: relative below 1,
+    /// never looser than `1e-12` absolute.
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).min(1.0)
+    }
+
+    /// Quorum COA by the enumeration oracle.
+    fn enumerated_quorum_coa(net: &NetworkModel, quorum: &[u32]) -> f64 {
+        let total = f64::from(net.total_servers());
+        net.expected_reward(|ups| {
+            if ups.iter().zip(quorum).any(|(u, q)| u < q) {
+                0.0
+            } else {
+                ups.iter().map(|&u| f64::from(u)).sum::<f64>() / total
+            }
+        })
+        .unwrap()
+    }
+
     #[test]
     fn factored_forms_match_enumeration() {
-        // The factored fast path must agree with the exact mixed-radix
-        // enumeration on networks small enough to run both.
+        // The factored kernel must agree with the exact mixed-radix
+        // enumeration oracle on networks small enough to run both.
         let net = case_study();
+        let total = f64::from(net.total_servers());
         let quorum = [1, 2, 1, 1];
+        let m = net.measures().unwrap();
+        let coa = net
+            .expected_reward(|ups| {
+                if ups.contains(&0) {
+                    0.0
+                } else {
+                    ups.iter().map(|&u| f64::from(u)).sum::<f64>() / total
+                }
+            })
+            .unwrap();
+        let avail = net
+            .expected_reward(|ups| f64::from(u8::from(!ups.contains(&0))))
+            .unwrap();
+        let up = net
+            .expected_reward(|ups| ups.iter().map(|&u| f64::from(u)).sum())
+            .unwrap();
+        let quorum_coa = enumerated_quorum_coa(&net, &quorum);
+        assert!(close(m.coa, coa), "{} vs {coa}", m.coa);
         assert!(
-            (net.quorum_coa_factored(&[1, 1, 1, 1]).unwrap() - net.coa().unwrap()).abs() < 1e-12
+            close(m.availability, avail),
+            "{} vs {avail}",
+            m.availability
         );
-        assert!(
-            (net.quorum_coa_factored(&quorum).unwrap() - net.coa_with_quorum(&quorum).unwrap())
-                .abs()
-                < 1e-12
-        );
-        let avail_factored: f64 = net
-            .tier_moments(&[1, 1, 1, 1])
-            .unwrap()
-            .iter()
-            .map(|&(p, _)| p)
-            .product();
-        assert!((avail_factored - net.availability().unwrap()).abs() < 1e-12);
-        let up_factored: f64 = net
-            .tier_moments(&[0, 0, 0, 0])
-            .unwrap()
-            .iter()
-            .map(|&(_, m)| m)
-            .sum();
-        assert!((up_factored - net.expected_up_servers().unwrap()).abs() < 1e-12);
+        assert!(close(m.expected_up, up), "{} vs {up}", m.expected_up);
+        let q = net.coa_with_quorum(&quorum).unwrap();
+        assert!(close(q, quorum_coa), "{q} vs {quorum_coa}");
+    }
+
+    #[test]
+    fn strict_quorum_on_slow_tier_matches_enumeration() {
+        // A tier that recovers far slower than it is patched rarely has
+        // all six servers up: `P(up ≥ 6)` is about 5.6e-7, where the
+        // complement `1 − P(up < 6)` keeps only ~9 significant digits.
+        let net = NetworkModel::new(vec![
+            Tier::new("front", 2, rates(1.0)),
+            Tier::new("slow", 6, rates(7200.0)),
+        ]);
+        let quorum = [1, 6];
+        let p = TierMoments::of(6, rates(7200.0), 6).unwrap().p;
+        let want_p = net.tier_down_distribution(1).unwrap()[0];
+        assert!(close(p, want_p), "{p} vs {want_p}");
+        let got = net.coa_with_quorum(&quorum).unwrap();
+        let want = enumerated_quorum_coa(&net, &quorum);
+        assert!(close(got, want), "{got} vs {want}");
+    }
+
+    #[test]
+    fn coa_never_exceeds_availability_bitwise() {
+        // All-1 designs are where the unclamped form Σᵢ mᵢ·Πⱼ≠ᵢ pⱼ / N
+        // can round one ulp above Πᵢ pᵢ; mixed designs exercise the
+        // clamped conditional means.
+        for mttr in [0.25, 0.5, 1.0, 1.5, 2.0, 5.0, 24.0] {
+            for n in 1..=12 {
+                for counts in [vec![1; n], (0..n).map(|i| 1 + (i % 4) as u32).collect()] {
+                    let tiers = counts
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| Tier::new(format!("t{i}"), c, rates(mttr + i as f64 * 0.1)))
+                        .collect();
+                    let m = NetworkModel::new(tiers).measures().unwrap();
+                    assert!(
+                        m.coa <= m.availability,
+                        "{counts:?} @ {mttr}: coa {} > availability {}",
+                        m.coa,
+                        m.availability
+                    );
+                    assert!((0.0..=1.0).contains(&m.availability));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tier_moments_stay_probabilities() {
+        let r = rates(1.0);
+        for count in 1..=8 {
+            for quorum in 0..=count {
+                let t = TierMoments::of(count, r, quorum).unwrap();
+                assert!((0.0..=1.0).contains(&t.p), "{count}/{quorum}: {}", t.p);
+                assert!(t.m <= t.mean);
+            }
+            // Quorum 0 is no constraint at all.
+            let all = TierMoments::of(count, r, 0).unwrap();
+            assert_eq!(all.p, 1.0);
+            assert_eq!(all.m, all.mean);
+        }
     }
 
     #[test]
     fn fleet_scale_network_solves_in_product_form() {
         // 150 tiers would be 2^150+ joint states under enumeration; the
-        // factored path must make this instant and sane.
+        // factored kernel must make this instant and sane.
         let tiers: Vec<Tier> = (0..150)
             .map(|i| {
                 Tier::new(

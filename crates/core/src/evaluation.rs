@@ -248,19 +248,16 @@ impl Evaluator {
             .metrics(&self.metrics_config);
 
         // Availability: upper-layer model from cached aggregations.
-        let model = spec.network_model(&self.analyses);
-        let coa = model.coa()?;
-        let availability = model.availability()?;
-        let expected_up = model.expected_up_servers()?;
+        let upper = spec.network_model(&self.analyses).measures()?;
 
         Ok(DesignEvaluation {
             name: name.to_string(),
             counts: counts.to_vec(),
             before,
             after,
-            coa,
-            availability,
-            expected_up,
+            coa: upper.coa,
+            availability: upper.availability,
+            expected_up: upper.expected_up,
         })
     }
 

@@ -668,15 +668,15 @@ impl Scenario {
         let after = harm
             .patched(&move |v| patch.patches(v))
             .metrics(&self.metrics);
-        let model = spec.network_model(&analyses);
+        let upper = spec.network_model(&analyses).measures()?;
         Ok(DesignEvaluation {
             name: self.label.clone(),
             counts: self.design.counts.clone(),
             before,
             after,
-            coa: model.coa()?,
-            availability: model.availability()?,
-            expected_up: model.expected_up_servers()?,
+            coa: upper.coa,
+            availability: upper.availability,
+            expected_up: upper.expected_up,
         })
     }
 }
@@ -699,10 +699,7 @@ fn evaluate_cell(
     let spec = first.spec.with_counts(&first.design.counts)?;
     let harm = spec.build_harm();
     let before = harm.metrics(&first.metrics);
-    let model = spec.network_model(&analyses);
-    let coa = model.coa()?;
-    let availability = model.availability()?;
-    let expected_up = model.expected_up_servers()?;
+    let upper = spec.network_model(&analyses).measures()?;
     members
         .iter()
         .map(|&i| {
@@ -716,9 +713,9 @@ fn evaluate_cell(
                 counts: sc.design.counts.clone(),
                 before: before.clone(),
                 after,
-                coa,
-                availability,
-                expected_up,
+                coa: upper.coa,
+                availability: upper.availability,
+                expected_up: upper.expected_up,
             })
         })
         .collect()

@@ -79,7 +79,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use redeval_avail::{NetworkModel, ServerAnalysis, Tier};
+use redeval_avail::{ServerAnalysis, TierMoments};
 use redeval_harm::MetricsConfig;
 
 use crate::decision::{pareto_frontier_batch, ParetoFront};
@@ -94,8 +94,9 @@ pub const DEFAULT_MAX_REDUNDANCY: u32 = 4;
 
 /// Relative safety margin applied to both optimistic bounds: ASP floors
 /// shrink and COA ceilings grow by this factor, so float rounding in
-/// the evaluation pipeline (factored vs enumerated availability, path
-/// aggregation order) can never turn a sound prune into a wrong one.
+/// the evaluation pipeline (path aggregation order, and the COA kernel
+/// combining the same tier moments in another order than the bound's
+/// dynamic program) can never turn a sound prune into a wrong one.
 /// Observed discrepancies are ~1e-15 relative; the margin costs a few
 /// extra evaluations near the frontier and nothing else.
 const FP_MARGIN: f64 = 1e-9;
@@ -127,60 +128,39 @@ impl SpaceBox {
     }
 }
 
-/// Per-tier availability tables backing the box-level COA bound: for
-/// tier `t` at count `c`, `p[t][c-1] = P(up ≥ 1)` and
-/// `m[t][c-1] = E[up · 1{up ≥ 1}]` under the tier's aggregated
-/// machine-repair chain — the same moments the factored COA form of
-/// [`NetworkModel`] uses, computed through the same solver.
+/// Per-tier availability tables backing the box-level COA bound:
+/// `moments[t][c-1]` holds tier `t`'s [`TierMoments`] at count `c`
+/// against quorum 1 — `p = P(up ≥ 1)` and `m = E[up · 1{up ≥ 1}]`, the
+/// same kernel [`NetworkModel`](redeval_avail::NetworkModel) builds COA
+/// from.
 struct CoaBounder {
-    p: Vec<Vec<f64>>,
-    m: Vec<Vec<f64>>,
+    moments: Vec<Vec<TierMoments>>,
 }
 
 impl CoaBounder {
-    fn new(
-        spec: &NetworkSpec,
-        analyses: &[Arc<ServerAnalysis>],
-        max_redundancy: u32,
-    ) -> Result<Self, EvalError> {
-        let mut p = Vec::with_capacity(spec.tiers().len());
-        let mut m = Vec::with_capacity(spec.tiers().len());
-        for (tier, analysis) in spec.tiers().iter().zip(analyses) {
-            let rates = analysis.rates();
-            let mut pt = Vec::with_capacity(max_redundancy as usize);
-            let mut mt = Vec::with_capacity(max_redundancy as usize);
-            for c in 1..=max_redundancy {
-                let chain = NetworkModel::new(vec![Tier::new(tier.name.clone(), c, rates)]);
-                let dist = chain.tier_down_distribution(0)?;
-                let mut prob_up = 0.0;
-                let mut mean_up = 0.0;
-                for (down, &prob) in dist.iter().enumerate() {
-                    let up = c - down as u32;
-                    if up >= 1 {
-                        prob_up += prob;
-                        mean_up += prob * f64::from(up);
-                    }
-                }
-                pt.push(prob_up);
-                mt.push(mean_up);
-            }
-            p.push(pt);
-            m.push(mt);
-        }
-        Ok(CoaBounder { p, m })
+    fn new(analyses: &[Arc<ServerAnalysis>], max_redundancy: u32) -> Result<Self, EvalError> {
+        let moments = analyses
+            .iter()
+            .map(|a| {
+                (1..=max_redundancy)
+                    .map(|c| TierMoments::of(c, a.rates(), 1))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(CoaBounder { moments })
     }
 
     /// Sound upper bound on COA over every design in the box: the exact
     /// maximum of the separable surrogate (see the [module docs](self)),
     /// inflated by [`FP_MARGIN`].
     fn coa_upper_bound(&self, b: &SpaceBox) -> f64 {
-        let n = self.p.len();
+        let n = self.moments.len();
         // Per-tier max of P(up ≥ 1) over the count range. (Monotone in
         // the count in practice, but soundness never rests on that.)
         let pmax: Vec<f64> = (0..n)
             .map(|t| {
                 (b.lo[t]..=b.hi[t])
-                    .map(|c| self.p[t][(c - 1) as usize])
+                    .map(|c| self.moments[t][(c - 1) as usize].p)
                     .fold(0.0, f64::max)
             })
             .collect();
@@ -206,7 +186,7 @@ impl CoaBounder {
                 }
                 for c in b.lo[t]..=b.hi[t] {
                     let off = j + (c - b.lo[t]) as usize;
-                    let val = v + self.m[t][(c - 1) as usize] * pbar;
+                    let val = v + self.moments[t][(c - 1) as usize].m * pbar;
                     if val > next[off] {
                         next[off] = val;
                     }
@@ -446,7 +426,7 @@ impl Optimizer {
         let tel = self.cache.telemetry().clone();
         let _span = tel.span(format!("optimize (max_redundancy {})", self.max_redundancy));
         let analyses = self.cache.analyses_for(&self.spec)?;
-        let bounder = CoaBounder::new(&self.spec, &analyses, self.max_redundancy)?;
+        let bounder = CoaBounder::new(&analyses, self.max_redundancy)?;
 
         let mut memo: HashMap<Vec<u32>, Vec<DesignEvaluation>> = HashMap::new();
         let mut front: ParetoFront<(usize, DesignEvaluation)> = ParetoFront::new();
