@@ -35,7 +35,7 @@ use redeval::scenario::generate::{self, Family, GenParams};
 use redeval::scenario::{builtin, ScenarioDoc};
 use redeval::PatchPolicy;
 use redeval::Telemetry;
-use redeval_server::{EquilibriumRequest, OptimizeRequest};
+use redeval_server::{AnalysisKind, AnalysisRequest, EquilibriumRequest, OptimizeRequest};
 
 use crate::reports::{self, REGISTRY};
 
@@ -184,43 +184,8 @@ enum Cmd {
     ScenarioExport(String),
     /// Parse + validate scenario files.
     ScenarioValidate(Vec<String>),
-    /// Evaluate one scenario file end-to-end.
-    Eval {
-        /// Path of the scenario JSON file.
-        file: String,
-        /// Overrides the file's policy list when present.
-        policy: Option<PatchPolicy>,
-        /// Chrome-trace output path of `--profile`.
-        profile: Option<String>,
-    },
-    /// Pruned branch-and-bound search of the redundancy design space.
-    Optimize {
-        /// Scenario file path or builtin name; `None` searches the
-        /// default request (paper case study + Equation (3) bounds).
-        scenario: Option<String>,
-        /// Per-tier count bound of the searched space.
-        max_redundancy: Option<u32>,
-        /// Overrides the scenario's policy list when present.
-        policy: Option<PatchPolicy>,
-        /// Decision bounds (φ, ψ) selecting the satisfying region.
-        bounds: Option<ScatterBounds>,
-        /// Chrome-trace output path of `--profile`.
-        profile: Option<String>,
-    },
-    /// Attacker–defender best-response equilibrium analysis.
-    Equilibrium {
-        /// Scenario file path or builtin name; `None` analyzes the
-        /// paper case study.
-        scenario: Option<String>,
-        /// Per-tier count bound of the defender's design space.
-        max_redundancy: Option<u32>,
-        /// Overrides the scenario's policy list when present.
-        policy: Option<PatchPolicy>,
-        /// Gauss-Seidel round cap.
-        max_iters: Option<u32>,
-        /// Chrome-trace output path of `--profile`.
-        profile: Option<String>,
-    },
+    /// `eval`, `optimize` or `equilibrium`: one typed analysis request.
+    Analyze(AnalysisArgs),
     /// Emit a generated scenario's canonical JSON.
     Gen {
         /// Archetype family.
@@ -251,6 +216,26 @@ struct Invocation {
     out: Option<String>,
 }
 
+/// The flags of an analysis command (see [`AnalysisArgs::request`]).
+#[derive(Debug, PartialEq)]
+struct AnalysisArgs {
+    /// `Eval`, `Optimize` or `Equilibrium`.
+    kind: AnalysisKind,
+    /// `--scenario`: the file `eval` reads, or a file or builtin name;
+    /// `None` runs the command's default request (the paper case study).
+    scenario: Option<String>,
+    /// `--policy`: overrides the scenario's policy list.
+    policy: Option<PatchPolicy>,
+    /// `--max-redundancy`: per-tier count bound of the searched space.
+    max_redundancy: Option<u32>,
+    /// `--bounds`: decision bounds (φ, ψ) selecting the satisfying region.
+    bounds: Option<ScatterBounds>,
+    /// `--max-iters`: Gauss-Seidel round cap.
+    max_iters: Option<u32>,
+    /// `--profile`: Chrome-trace output path.
+    profile: Option<String>,
+}
+
 fn parse(args: &[String]) -> Result<Invocation, String> {
     let mut positional: Vec<&str> = Vec::new();
     let mut format = Format::Text;
@@ -276,16 +261,16 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
     let mut policies: Option<u32> = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = Some(args.get(i).ok_or("--addr needs an address")?.clone());
-                i += 1;
-                continue;
-            }
+        let flag = args[i].as_str();
+        // The value of a flag that takes one: the next argument.
+        let mut value = |what: &str| {
+            i += 1;
+            args.get(i).ok_or_else(|| format!("{flag} needs {what}"))
+        };
+        match flag {
+            "--addr" => addr = Some(value("an address")?.clone()),
             "--threads" => {
-                i += 1;
-                let v = args.get(i).ok_or("--threads needs a count")?;
+                let v = value("a count")?;
                 let n: usize = v
                     .parse()
                     .map_err(|_| format!("--threads: `{v}` is not a number"))?;
@@ -293,54 +278,31 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                     return Err("--threads must be at least 1".to_string());
                 }
                 threads = Some(n);
-                i += 1;
-                continue;
             }
             "--cache-cap" => {
-                i += 1;
-                let v = args.get(i).ok_or("--cache-cap needs a byte count")?;
+                let v = value("a byte count")?;
                 cache_cap = Some(
                     v.parse()
                         .map_err(|_| format!("--cache-cap: `{v}` is not a byte count"))?,
                 );
-                i += 1;
-                continue;
             }
-            "--cache-dir" => {
-                i += 1;
-                cache_dir = Some(args.get(i).ok_or("--cache-dir needs a directory")?.clone());
-                i += 1;
-                continue;
-            }
-            "--max-redundancy" => {
-                i += 1;
-                let v = args.get(i).ok_or("--max-redundancy needs a number")?;
+            "--cache-dir" => cache_dir = Some(value("a directory")?.clone()),
+            "--max-redundancy" | "--max-iters" => {
+                let v = value("a number")?;
                 let n: u32 = v
                     .parse()
-                    .map_err(|_| format!("--max-redundancy: `{v}` is not a number"))?;
-                if !(1..=8).contains(&n) {
-                    return Err(format!("--max-redundancy: `{n}` is not in 1..=8"));
+                    .map_err(|_| format!("{flag}: `{v}` is not a number"))?;
+                let (max, slot) = match flag {
+                    "--max-iters" => (64, &mut max_iters),
+                    _ => (8, &mut max_redundancy),
+                };
+                if !(1..=max).contains(&n) {
+                    return Err(format!("{flag}: `{n}` is not in 1..={max}"));
                 }
-                max_redundancy = Some(n);
-                i += 1;
-                continue;
-            }
-            "--max-iters" => {
-                i += 1;
-                let v = args.get(i).ok_or("--max-iters needs a number")?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| format!("--max-iters: `{v}` is not a number"))?;
-                if !(1..=64).contains(&n) {
-                    return Err(format!("--max-iters: `{n}` is not in 1..=64"));
-                }
-                max_iters = Some(n);
-                i += 1;
-                continue;
+                *slot = Some(n);
             }
             "--bounds" => {
-                i += 1;
-                let v = args.get(i).ok_or("--bounds needs `ASP,COA`")?;
+                let v = value("`ASP,COA`")?;
                 let (asp, coa) = v
                     .split_once(',')
                     .ok_or_else(|| format!("--bounds: `{v}` is not `ASP,COA`"))?;
@@ -355,40 +317,26 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                     max_asp: parse_finite(asp, "ASP bound")?,
                     min_coa: parse_finite(coa, "COA bound")?,
                 });
-                i += 1;
-                continue;
             }
             "--seed" => {
-                i += 1;
-                let v = args.get(i).ok_or("--seed needs a number")?;
+                let v = value("a number")?;
                 seed = Some(
                     v.parse()
                         .map_err(|_| format!("--seed: `{v}` is not a number"))?,
                 );
-                i += 1;
-                continue;
             }
             // `--profile` takes an *optional* value, so it must use the
             // `=` spelling — a separate positional would be ambiguous.
-            "--profile" => {
-                profile = Some(DEFAULT_TRACE_FILE.to_string());
-                i += 1;
-                continue;
-            }
-            flag if flag.starts_with("--profile=") => {
+            "--profile" => profile = Some(DEFAULT_TRACE_FILE.to_string()),
+            _ if flag.starts_with("--profile=") => {
                 let path = &flag["--profile=".len()..];
                 if path.is_empty() {
                     return Err("--profile= needs a file path".to_string());
                 }
                 profile = Some(path.to_string());
-                i += 1;
-                continue;
             }
-            flag @ ("--tiers" | "--redundancy" | "--designs" | "--policies") => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| format!("{flag} needs a number"))?;
+            "--tiers" | "--redundancy" | "--designs" | "--policies" => {
+                let v = value("a number")?;
                 let n: u32 = v
                     .parse()
                     .map_err(|_| format!("{flag}: `{v}` is not a number"))?;
@@ -398,35 +346,22 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                     "--designs" => designs = Some(n),
                     _ => policies = Some(n),
                 }
-                i += 1;
-                continue;
             }
-            _ => {}
-        }
-        match args[i].as_str() {
             "--format" => {
-                i += 1;
-                let v = args.get(i).ok_or("--format needs a value")?;
+                let v = value("a value")?;
                 format = Format::parse(v).ok_or_else(|| format!("unknown format `{v}`"))?;
                 explicit_format = true;
             }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).ok_or("--out needs a value")?.clone());
-            }
-            "--scenario" => {
-                i += 1;
-                scenario_file = Some(args.get(i).ok_or("--scenario needs a file path")?.clone());
-            }
+            "--out" => out = Some(value("a value")?.clone()),
+            "--scenario" => scenario_file = Some(value("a file path")?.clone()),
             "--policy" => {
-                i += 1;
-                let v = args.get(i).ok_or("--policy needs a value")?;
+                let v = value("a value")?;
                 policy = Some(v.parse().map_err(|e| format!("{e}"))?);
             }
             "--all" => all = true,
             "--bless" => bless = true,
             "-h" | "--help" => help = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            _ if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             p => positional.push(p),
         }
         i += 1;
@@ -574,30 +509,20 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
             }
             Cmd::Reports(REGISTRY.iter().map(|s| s.name).collect())
         }
-        "eval" => {
-            let file = scenario_file
-                .take()
-                .ok_or("`eval` needs `--scenario <FILE>`")?;
-            Cmd::Eval {
-                file,
-                policy,
-                profile: profile.take(),
+        "eval" | "optimize" | "equilibrium" => {
+            if positional[0] == "eval" && scenario_file.is_none() {
+                return Err("`eval` needs `--scenario <FILE>`".to_string());
             }
+            Cmd::Analyze(AnalysisArgs {
+                kind: AnalysisKind::from_name(positional[0]).expect("an analysis command"),
+                scenario: scenario_file,
+                policy,
+                max_redundancy,
+                bounds,
+                max_iters,
+                profile,
+            })
         }
-        "optimize" => Cmd::Optimize {
-            scenario: scenario_file.take(),
-            max_redundancy,
-            policy,
-            bounds,
-            profile: profile.take(),
-        },
-        "equilibrium" => Cmd::Equilibrium {
-            scenario: scenario_file.take(),
-            max_redundancy,
-            policy,
-            max_iters,
-            profile: profile.take(),
-        },
         "gen" => {
             let key = positional
                 .get(1)
@@ -790,35 +715,90 @@ fn load_scenario(file: &str) -> Result<ScenarioDoc, String> {
     ScenarioDoc::from_json(&text).map_err(|e| format!("{file}: {e}"))
 }
 
-/// The `--profile` execution context: a profiler-mode [`Telemetry`]
-/// handle feeding a shared pool + analysis cache, so the instrumented
-/// `_on` report builders record spans and counters. The report bytes on
-/// stdout are unaffected — the engine contract makes the pooled path
-/// byte-identical to the scoped one.
-struct ProfileCtx {
+impl AnalysisArgs {
+    /// The typed request the command line asks for, plus the registry
+    /// name a bare `optimize` or `equilibrium` reports under: the bare
+    /// invocation *is* the registry report, byte for byte.
+    fn request(&self) -> Result<(AnalysisRequest, Option<&'static str>), String> {
+        let bare = self.scenario.is_none()
+            && self.policy.is_none()
+            && self.max_redundancy.is_none()
+            && self.bounds.is_none()
+            && self.max_iters.is_none();
+        let policies = self.policy.map(|p| vec![p]);
+        let doc = |default: ScenarioDoc| match &self.scenario {
+            None => Ok(default),
+            Some(s) => match builtin::find(s) {
+                Some(spec) => Ok((spec.build)()),
+                None => load_scenario(s),
+            },
+        };
+        let request = match self.kind {
+            AnalysisKind::Eval => {
+                let file = self.scenario.as_deref().expect("parse requires a file");
+                let mut doc = load_scenario(file)?;
+                if let Some(policies) = policies {
+                    doc.policies = policies;
+                }
+                AnalysisRequest::Eval(doc)
+            }
+            AnalysisKind::Optimize => {
+                // Explicit bounds replace the default ones; the other
+                // overrides keep them (same document, same region).
+                let default = reports::optimize::default_request();
+                let bounds = match self.scenario {
+                    None => self.bounds.or(default.bounds),
+                    Some(_) => self.bounds,
+                };
+                AnalysisRequest::Optimize(OptimizeRequest {
+                    doc: doc(default.doc)?,
+                    policies,
+                    max_redundancy: self.max_redundancy,
+                    bounds,
+                })
+            }
+            AnalysisKind::Equilibrium => AnalysisRequest::Equilibrium(EquilibriumRequest {
+                doc: doc(reports::equilibrium::default_request().doc)?,
+                policies,
+                max_redundancy: self.max_redundancy,
+                max_iters: self.max_iters,
+            }),
+            AnalysisKind::Sweep | AnalysisKind::Generate => unreachable!("not a CLI command"),
+        };
+        Ok((request, bare.then_some(self.kind.name())))
+    }
+}
+
+/// The execution context of the analysis commands: one pool and one
+/// analysis cache. Its telemetry is a no-op unless `--profile` asks for
+/// the profiler, which records spans and counters without touching the
+/// report bytes on stdout.
+struct AnalysisCtx {
     telemetry: Telemetry,
     pool: Pool,
     cache: Arc<AnalysisCache>,
-    path: String,
 }
 
-impl ProfileCtx {
-    fn new(path: &str) -> Self {
-        let telemetry = Telemetry::profiler();
-        ProfileCtx {
+impl AnalysisCtx {
+    fn new(profile: bool) -> Self {
+        let telemetry = if profile {
+            Telemetry::profiler()
+        } else {
+            Telemetry::noop()
+        };
+        AnalysisCtx {
             pool: Pool::new(redeval::exec::default_threads()),
             cache: Arc::new(AnalysisCache::with_telemetry(telemetry.clone())),
             telemetry,
-            path: path.to_string(),
         }
     }
 
-    /// Writes the Chrome-trace file and prints the span/counter summary
-    /// to stderr (stdout belongs to the report).
-    fn finish(&self) -> Result<(), String> {
-        std::fs::write(&self.path, self.telemetry.chrome_trace_json())
-            .map_err(|e| format!("cannot write profile trace {}: {e}", self.path))?;
-        eprintln!("wrote profile trace {}", self.path);
+    /// Writes the Chrome-trace file to `path` and prints the
+    /// span/counter summary to stderr (stdout belongs to the report).
+    fn finish_profile(&self, path: &str) -> Result<(), String> {
+        std::fs::write(path, self.telemetry.chrome_trace_json())
+            .map_err(|e| format!("cannot write profile trace {path}: {e}"))?;
+        eprintln!("wrote profile trace {path}");
         eprint!("{}", self.telemetry.text_summary());
         Ok(())
     }
@@ -890,185 +870,31 @@ pub fn run(args: &[String]) -> i32 {
             }
             i32::from(!all_ok)
         }
-        Cmd::Eval {
-            file,
-            policy,
-            profile,
-        } => {
-            let mut doc = match load_scenario(file) {
-                Ok(doc) => doc,
+        Cmd::Analyze(args) => {
+            let (request, registry_name) = match args.request() {
+                Ok(r) => r,
                 Err(msg) => {
                     eprintln!("error: {msg}");
                     return 1;
                 }
             };
-            if let Some(p) = policy {
-                doc.policies = vec![*p];
-            }
-            let profiling = profile.as_deref().map(ProfileCtx::new);
-            let result = match &profiling {
-                None => reports::scenario::eval_report(&doc),
-                Some(ctx) => reports::scenario::eval_report_on(&doc, &ctx.pool, &ctx.cache),
-            };
-            let report = match result {
+            let ctx = AnalysisCtx::new(args.profile.is_some());
+            let mut report = match reports::analysis_report_on(&request, &ctx.pool, &ctx.cache) {
                 Ok(r) => r,
                 Err(e) => {
-                    eprintln!("error: {file}: {e}");
-                    return 1;
-                }
-            };
-            if let Some(ctx) = &profiling {
-                if let Err(msg) = ctx.finish() {
-                    eprintln!("error: {msg}");
-                    return 2;
-                }
-            }
-            match emit_or_exit(&report) {
-                Ok(ok) => i32::from(!ok),
-                Err(code) => code,
-            }
-        }
-        Cmd::Optimize {
-            scenario,
-            max_redundancy,
-            policy,
-            bounds,
-            profile,
-        } => {
-            // A bare `redeval optimize` *is* the registry report, byte
-            // for byte — same contract as `redeval report` golden runs.
-            // `--profile` alone keeps that contract: it changes how the
-            // search executes (instrumented pool + cache), never what it
-            // reports.
-            let bare = scenario.is_none()
-                && max_redundancy.is_none()
-                && policy.is_none()
-                && bounds.is_none();
-            if bare && profile.is_none() {
-                return match emit_or_exit(&reports::optimize::builtin_optimize()) {
-                    Ok(ok) => i32::from(!ok),
-                    Err(code) => code,
-                };
-            }
-            let req = match scenario {
-                None => {
-                    let mut req = reports::optimize::default_request();
-                    // Explicit bounds replace the default ones; the other
-                    // overrides keep them (same document, same region).
-                    if let Some(b) = bounds {
-                        req.bounds = Some(*b);
+                    // `eval` names the file it read.
+                    match (args.kind, &args.scenario) {
+                        (AnalysisKind::Eval, Some(file)) => eprintln!("error: {file}: {e}"),
+                        _ => eprintln!("error: {e}"),
                     }
-                    req
-                }
-                Some(s) => {
-                    let doc = match builtin::find(s) {
-                        Some(spec) => (spec.build)(),
-                        None => match load_scenario(s) {
-                            Ok(doc) => doc,
-                            Err(msg) => {
-                                eprintln!("error: {msg}");
-                                return 1;
-                            }
-                        },
-                    };
-                    OptimizeRequest {
-                        doc,
-                        policies: None,
-                        max_redundancy: None,
-                        bounds: *bounds,
-                    }
-                }
-            };
-            let req = OptimizeRequest {
-                policies: policy.as_ref().map(|p| vec![*p]),
-                max_redundancy: *max_redundancy,
-                ..req
-            };
-            let profiling = profile.as_deref().map(ProfileCtx::new);
-            let result = match &profiling {
-                None => reports::optimize::optimize_report(&req),
-                Some(ctx) => reports::optimize::optimize_report_on(&req, &ctx.pool, &ctx.cache),
-            };
-            let mut report = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
                     return 1;
                 }
             };
-            if bare {
-                // Same rename `builtin_optimize` performs: the bare
-                // invocation is the registry report.
-                report.name = "optimize".into();
+            if let Some(name) = registry_name {
+                report.name = name.into();
             }
-            if let Some(ctx) = &profiling {
-                if let Err(msg) = ctx.finish() {
-                    eprintln!("error: {msg}");
-                    return 2;
-                }
-            }
-            match emit_or_exit(&report) {
-                Ok(ok) => i32::from(!ok),
-                Err(code) => code,
-            }
-        }
-        Cmd::Equilibrium {
-            scenario,
-            max_redundancy,
-            policy,
-            max_iters,
-            profile,
-        } => {
-            // A bare `redeval equilibrium` *is* the registry report,
-            // byte for byte — same contract as `redeval optimize`.
-            let bare = scenario.is_none()
-                && max_redundancy.is_none()
-                && policy.is_none()
-                && max_iters.is_none();
-            if bare && profile.is_none() {
-                return match emit_or_exit(&reports::equilibrium::builtin_equilibrium()) {
-                    Ok(ok) => i32::from(!ok),
-                    Err(code) => code,
-                };
-            }
-            let doc = match scenario {
-                None => reports::equilibrium::default_request().doc,
-                Some(s) => match builtin::find(s) {
-                    Some(spec) => (spec.build)(),
-                    None => match load_scenario(s) {
-                        Ok(doc) => doc,
-                        Err(msg) => {
-                            eprintln!("error: {msg}");
-                            return 1;
-                        }
-                    },
-                },
-            };
-            let req = EquilibriumRequest {
-                doc,
-                policies: policy.as_ref().map(|p| vec![*p]),
-                max_redundancy: *max_redundancy,
-                max_iters: *max_iters,
-            };
-            let profiling = profile.as_deref().map(ProfileCtx::new);
-            let result = match &profiling {
-                None => reports::equilibrium::equilibrium_report(&req),
-                Some(ctx) => {
-                    reports::equilibrium::equilibrium_report_on(&req, &ctx.pool, &ctx.cache)
-                }
-            };
-            let mut report = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-            };
-            if bare {
-                report.name = "equilibrium".into();
-            }
-            if let Some(ctx) = &profiling {
-                if let Err(msg) = ctx.finish() {
+            if let Some(path) = &args.profile {
+                if let Err(msg) = ctx.finish_profile(path) {
                     eprintln!("error: {msg}");
                     return 2;
                 }
@@ -1168,16 +994,8 @@ pub fn run(args: &[String]) -> i32 {
     }
 }
 
-/// Entry point of the thin per-artifact shim binaries: renders the named
-/// report as text on stdout and exits non-zero when a consistency check
-/// fails.
-pub fn shim(name: &str) -> ! {
-    let spec = reports::find(name).expect("shim names a registered report");
-    std::process::exit(print_report(&(spec.build)()))
-}
-
 /// Prints a report as text and returns the exit code its `ok` flag
-/// implies (shared by [`shim`] and the parameterized binaries).
+/// implies (used by the parameterized binaries).
 pub fn print_report(report: &Report) -> i32 {
     print!("{}", report.to_text());
     i32::from(!report.ok)
@@ -1189,6 +1007,19 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The parse of an analysis command with no flag but `--scenario`.
+    fn analyze(kind: AnalysisKind, scenario: Option<&str>) -> AnalysisArgs {
+        AnalysisArgs {
+            kind,
+            scenario: scenario.map(Into::into),
+            policy: None,
+            max_redundancy: None,
+            bounds: None,
+            max_iters: None,
+            profile: None,
+        }
     }
 
     fn names(inv: &Invocation) -> &[&'static str] {
@@ -1328,11 +1159,7 @@ mod tests {
         let inv = parse(&args(&["eval", "--scenario", "mine.json"])).unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Eval {
-                file: "mine.json".into(),
-                policy: None,
-                profile: None,
-            }
+            Cmd::Analyze(analyze(AnalysisKind::Eval, Some("mine.json")))
         );
         let inv = parse(&args(&[
             "eval",
@@ -1346,11 +1173,10 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Eval {
-                file: "mine.json".into(),
+            Cmd::Analyze(AnalysisArgs {
                 policy: Some(PatchPolicy::CriticalOnly(7.5)),
-                profile: None,
-            }
+                ..analyze(AnalysisKind::Eval, Some("mine.json"))
+            })
         );
         assert_eq!(inv.format, Format::Csv);
         // `eval` without a file, bad policies, and `--scenario` on other
@@ -1371,16 +1197,7 @@ mod tests {
     #[test]
     fn parses_optimize_with_defaults_and_overrides() {
         let inv = parse(&args(&["optimize"])).unwrap();
-        assert_eq!(
-            inv.cmd,
-            Cmd::Optimize {
-                scenario: None,
-                max_redundancy: None,
-                policy: None,
-                bounds: None,
-                profile: None,
-            }
-        );
+        assert_eq!(inv.cmd, Cmd::Analyze(analyze(AnalysisKind::Optimize, None)));
         let inv = parse(&args(&[
             "optimize",
             "--scenario",
@@ -1397,16 +1214,15 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Optimize {
-                scenario: Some("ecommerce".into()),
+            Cmd::Analyze(AnalysisArgs {
                 max_redundancy: Some(6),
                 policy: Some(PatchPolicy::All),
                 bounds: Some(ScatterBounds {
                     max_asp: 0.2,
                     min_coa: 0.9962,
                 }),
-                profile: None,
-            }
+                ..analyze(AnalysisKind::Optimize, Some("ecommerce"))
+            })
         );
         assert_eq!(inv.format, Format::Json);
         // Usage errors: out-of-range or malformed knobs, misplaced flags.
@@ -1427,13 +1243,7 @@ mod tests {
         let inv = parse(&args(&["equilibrium"])).unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Equilibrium {
-                scenario: None,
-                max_redundancy: None,
-                policy: None,
-                max_iters: None,
-                profile: None,
-            }
+            Cmd::Analyze(analyze(AnalysisKind::Equilibrium, None))
         );
         let inv = parse(&args(&[
             "equilibrium",
@@ -1451,13 +1261,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Equilibrium {
-                scenario: Some("iot_fleet".into()),
+            Cmd::Analyze(AnalysisArgs {
                 max_redundancy: Some(2),
                 policy: Some(PatchPolicy::All),
                 max_iters: Some(8),
-                profile: None,
-            }
+                ..analyze(AnalysisKind::Equilibrium, Some("iot_fleet"))
+            })
         );
         assert_eq!(inv.format, Format::Json);
         // Usage errors: out-of-range or malformed knobs, misplaced flags.
@@ -1477,13 +1286,10 @@ mod tests {
         let inv = parse(&args(&["optimize", "--profile"])).unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Optimize {
-                scenario: None,
-                max_redundancy: None,
-                policy: None,
-                bounds: None,
+            Cmd::Analyze(AnalysisArgs {
                 profile: Some(DEFAULT_TRACE_FILE.into()),
-            }
+                ..analyze(AnalysisKind::Optimize, None)
+            })
         );
         let inv = parse(&args(&[
             "eval",
@@ -1494,11 +1300,10 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Eval {
-                file: "mine.json".into(),
-                policy: None,
+            Cmd::Analyze(AnalysisArgs {
                 profile: Some("trace.json".into()),
-            }
+                ..analyze(AnalysisKind::Eval, Some("mine.json"))
+            })
         );
         let inv = parse(&args(&[
             "equilibrium",
@@ -1509,13 +1314,11 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Equilibrium {
-                scenario: None,
-                max_redundancy: None,
-                policy: None,
+            Cmd::Analyze(AnalysisArgs {
                 max_iters: Some(4),
                 profile: Some("eq.json".into()),
-            }
+                ..analyze(AnalysisKind::Equilibrium, None)
+            })
         );
         // Usage errors: an empty path, a command that never profiles,
         // and a bare flag without a command.

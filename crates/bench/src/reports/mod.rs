@@ -2,13 +2,14 @@
 //! returning a structured [`Report`] (see `redeval::output`).
 //!
 //! These functions are the single source of every paper table, figure and
-//! extension study. The `redeval` CLI dispatches over [`REGISTRY`], the
-//! legacy per-artifact binaries are thin shims over the same functions,
-//! and the golden corpus under `tests/golden/` byte-pins each builder's
-//! canonical JSON. Every builder is **deterministic**: fixed simulation
-//! seeds, order-stable data structures, and results independent of thread
-//! count (DESIGN.md §5–§6) — a builder that records wall-clock times or
-//! machine parallelism must never join this registry.
+//! extension study. The `redeval` CLI dispatches over [`REGISTRY`],
+//! [`analysis_report_on`] runs the typed analysis requests the CLI and
+//! `redeval serve` share, and the golden corpus under `tests/golden/`
+//! byte-pins each builder's canonical JSON. Every builder is
+//! **deterministic**: fixed simulation seeds, order-stable data
+//! structures, and results independent of thread count (DESIGN.md
+//! §5–§6) — a builder that records wall-clock times or machine
+//! parallelism must never join this registry.
 
 pub mod equilibrium;
 pub mod figures;
@@ -19,15 +20,16 @@ pub mod studies;
 pub mod tables;
 pub mod validate;
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use redeval::case_study;
 use redeval::decision::{MultiBounds, ScatterBounds};
-use redeval::exec::Sweep;
+use redeval::exec::{AnalysisCache, Pool, Sweep};
 use redeval::output::{Report, Table, Value};
 use redeval::report::{markdown_report, ReportOptions};
-use redeval::DesignEvaluation;
+use redeval::{DesignEvaluation, EvalError, ScenarioError};
 use redeval_avail::ServerAnalysis;
+use redeval_server::AnalysisRequest;
 
 /// One registry entry: the machine name (CLI subcommand / golden-file
 /// stem), a one-line description, and the zero-argument builder.
@@ -190,6 +192,31 @@ pub const REGISTRY: &[ReportSpec] = &[
 /// Looks a report up by registry name (underscore form).
 pub fn find(name: &str) -> Option<&'static ReportSpec> {
     REGISTRY.iter().find(|s| s.name == name)
+}
+
+/// Builds the report of one analysis request on a shared pool and solve
+/// cache — the one executor behind `redeval eval|optimize|equilibrium`
+/// and every report-producing `redeval serve` endpoint.
+///
+/// # Errors
+///
+/// The builder's scenario validation and solver errors. A generate
+/// request is a schema error: it produces a document, not a report.
+pub fn analysis_report_on(
+    req: &AnalysisRequest,
+    pool: &Pool,
+    cache: &Arc<AnalysisCache>,
+) -> Result<Report, EvalError> {
+    match req {
+        AnalysisRequest::Eval(doc) => scenario::eval_report_on(doc, pool, cache),
+        AnalysisRequest::Sweep(r) => scenario::sweep_report_on(r, pool, cache),
+        AnalysisRequest::Optimize(r) => optimize::optimize_report_on(r, pool, cache),
+        AnalysisRequest::Equilibrium(r) => equilibrium::equilibrium_report_on(r, pool, cache),
+        AnalysisRequest::Generate(_) => Err(EvalError::Scenario(ScenarioError::Invalid {
+            at: "request".to_string(),
+            message: "generate produces a scenario document, not a report".to_string(),
+        })),
+    }
 }
 
 /// The paper's Equation-(3) regions: label, bounds, and the design set

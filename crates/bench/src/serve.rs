@@ -1,29 +1,21 @@
-//! Wiring for `redeval serve`: the report registry and batch engine
-//! plugged into `redeval-server`'s endpoint slots.
+//! Wiring for `redeval serve`: the report builders and batch engine
+//! plugged into `redeval-server`'s executor slot.
 //!
-//! The server crate owns the wire (HTTP parsing, the result cache, the
-//! routing contract); this module owns *what the endpoints mean*:
+//! The server crate owns the wire (HTTP parsing, request decoding, the
+//! result cache, the routing contract); this module owns *what the
+//! requests mean*. Every report-producing endpoint runs its typed
+//! [`AnalysisRequest`](redeval_server::AnalysisRequest) through
+//! [`reports::analysis_report_on`] — the same executor behind `redeval
+//! eval|optimize|equilibrium`, so a served response is byte-identical
+//! to the CLI's `--format json` output. The two listings are
+//! [`cli::scenario_list_report`] and [`cli::list_report`].
+//! `POST /v1/generate` needs no wiring: the seeded generators are pure
+//! core code, so the server crate runs them directly.
 //!
-//! * `POST /v1/eval` → [`reports::scenario::eval_report_on`] — the same
-//!   builder behind `redeval eval --scenario FILE`, so a served response
-//!   is byte-identical to the CLI's `--format json` output;
-//! * `POST /v1/sweep` → [`reports::scenario::sweep_report_on`];
-//! * `POST /v1/optimize` → [`reports::optimize::optimize_report_on`] —
-//!   the pruned branch-and-bound search behind `redeval optimize`;
-//! * `POST /v1/equilibrium` →
-//!   [`reports::equilibrium::equilibrium_report_on`] — the Gauss-Seidel
-//!   best-response iteration behind `redeval equilibrium`;
-//! * `GET /v1/scenarios` → [`cli::scenario_list_report`];
-//! * `GET /v1/reports` → [`cli::list_report`].
-//!
-//! `POST /v1/generate` needs no wiring here: the seeded generators are
-//! pure core code, so the server crate runs them directly and returns
-//! the same canonical bytes as `redeval gen`.
-//!
-//! Both evaluation endpoints share one [`Pool`] (spawned once, reused
-//! for every request) and one [`AnalysisCache`] (tier solves survive
-//! across requests), so a warm server only pays for what a request
-//! actually changes.
+//! Every request shares one [`Pool`] (spawned once, reused for every
+//! request) and one [`AnalysisCache`] (tier solves survive across
+//! requests), so a warm server only pays for what a request actually
+//! changes.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -76,22 +68,12 @@ fn wired_service(threads: usize, cache_capacity: usize) -> Service {
     // `GET /metrics`. Counters only — spans would cost wall-clock
     // bookkeeping on every request for a signal nobody scrapes.
     let telemetry = redeval::Telemetry::counters();
-    let pool = Arc::new(Pool::new(threads));
+    let pool = Pool::new(threads);
     let cache = Arc::new(AnalysisCache::with_telemetry(telemetry.clone()));
-    let (eval_pool, eval_cache) = (Arc::clone(&pool), Arc::clone(&cache));
-    let (opt_pool, opt_cache) = (Arc::clone(&pool), Arc::clone(&cache));
-    let (eq_pool, eq_cache) = (Arc::clone(&pool), Arc::clone(&cache));
     let endpoints = Endpoints {
-        eval: Box::new(move |doc| reports::scenario::eval_report_on(doc, &eval_pool, &eval_cache)),
-        sweep: Box::new(move |req| reports::scenario::sweep_report_on(req, &pool, &cache)),
-        optimize: Box::new(move |req| {
-            reports::optimize::optimize_report_on(req, &opt_pool, &opt_cache)
-        }),
-        equilibrium: Box::new(move |req| {
-            reports::equilibrium::equilibrium_report_on(req, &eq_pool, &eq_cache)
-        }),
-        scenarios: Box::new(cli::scenario_list_report),
-        reports: Box::new(cli::list_report),
+        execute: Box::new(move |req| reports::analysis_report_on(req, &pool, &cache)),
+        scenarios: cli::scenario_list_report(),
+        reports: cli::list_report(),
     };
     Service::new(
         endpoints,

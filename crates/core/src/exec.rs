@@ -353,7 +353,18 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it and parks
+        // on `ready` under that lock too, so it either sees the flag or
+        // is already parked when the wakeup below arrives. A poisoned
+        // lock is still taken (no panic in drop): only the flag changes.
+        {
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             // A panic inside a *task* is contained by run_batch; a worker
@@ -1127,6 +1138,33 @@ mod tests {
         let inner = Arc::clone(&pool);
         let out = pool.run_batch(3, move |i| inner.run_batch(2, move |j| i * 10 + j));
         assert_eq!(out, vec![vec![0, 1], vec![10, 11], vec![20, 21]]);
+    }
+
+    #[test]
+    fn pool_drop_never_loses_the_shutdown_wakeup() {
+        // Dropping a pool right after a batch races each worker between
+        // its shutdown check and parking on the queue condvar; a wakeup
+        // sent in that gap must not be lost, or `drop` joins forever.
+        // The loop runs on its own thread and this one waits with a
+        // timeout, so a lost wakeup fails the test instead of hanging it.
+        const CYCLES: usize = 10_000;
+        let (done, finished) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..CYCLES {
+                let pool = Pool::new(2);
+                assert_eq!(pool.run_batch(3, |i| i), vec![0, 1, 2]);
+                drop(pool);
+            }
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a pool drop hung: a worker missed the shutdown wakeup")
+            }
+            // Done, or the loop panicked (its sender dropped): join to
+            // surface the panic.
+            _ => cycles.join().expect("the create/drop loop runs clean"),
+        }
     }
 
     #[test]

@@ -17,30 +17,32 @@
 //! are hand-rolled and individually pinned by tests (FIPS 180-4 vectors,
 //! bounded wire parsing, capacity-accounting suites).
 //!
+//! Every analysis endpoint speaks one typed request model
+//! ([`AnalysisRequest`], in [`request`]): one decoder, one cache key.
 //! The crate deliberately does **not** know how reports are built:
-//! [`Endpoints`] injects the report producers, which
-//! `redeval-bench` wires to its report registry and the shared
-//! [`redeval::exec::Pool`]. That keeps the dependency arrow pointing one
-//! way (`bench → server → core`) while the loopback tests prove the
-//! served bytes equal the CLI's.
+//! [`Endpoints`] injects a single executor over that model, which
+//! `redeval-bench` wires to its report builders and the shared
+//! [`redeval::exec::Pool`]; the CLI runs the same requests through the
+//! same builders. That keeps the dependency arrow pointing one way
+//! (`bench → server → core`) while the loopback tests prove the served
+//! bytes equal the CLI's.
 //!
 //! # Examples
 //!
-//! A service over stub endpoints, driven without a socket:
+//! A service over a stub executor, driven without a socket:
 //!
 //! ```
 //! use redeval::output::Report;
 //! use redeval_server::{Endpoints, Request, Service, ServiceConfig};
 //!
 //! let endpoints = Endpoints {
-//!     eval: Box::new(|doc| Ok(Report::new(format!("eval_{}", doc.name), "demo"))),
-//!     sweep: Box::new(|req| Ok(Report::new(format!("sweep_{}", req.doc.name), "demo"))),
-//!     optimize: Box::new(|req| Ok(Report::new(format!("optimize_{}", req.doc.name), "demo"))),
-//!     equilibrium: Box::new(|req| {
-//!         Ok(Report::new(format!("equilibrium_{}", req.doc.name), "demo"))
+//!     execute: Box::new(|req| {
+//!         let kind = req.kind().name();
+//!         let scenario = req.doc().map_or("", |doc| doc.name.as_str());
+//!         Ok(Report::new(format!("{kind}_{scenario}"), "demo"))
 //!     }),
-//!     scenarios: Box::new(|| Report::new("scenario_list", "demo")),
-//!     reports: Box::new(|| Report::new("list", "demo")),
+//!     scenarios: Report::new("scenario_list", "demo"),
+//!     reports: Report::new("list", "demo"),
 //! };
 //! let service = Service::new(endpoints, ServiceConfig::default());
 //! let health = service.handle(&Request::synthetic("GET", "/healthz", b""));
@@ -55,6 +57,7 @@ pub mod disk;
 pub mod http;
 pub mod metrics;
 pub mod prometheus;
+pub mod request;
 pub mod server;
 pub mod service;
 pub mod sha256;
@@ -64,10 +67,13 @@ pub use disk::{DiskCache, DiskStats};
 pub use http::{read_request, HttpError, Limits, Request, Response};
 pub use metrics::{EndpointSnapshot, Histogram, ServiceMetrics};
 pub use prometheus::validate_exposition;
+pub use request::{
+    AnalysisKind, AnalysisRequest, EquilibriumRequest, GenerateRequest, OptimizeRequest,
+    SweepRequest, MAX_GRID_AXIS,
+};
 pub use server::{Server, ServerHandle};
 pub use service::{
-    error_response, eval_error_response, http_error_response, Endpoints, EquilibriumEndpoint,
-    EquilibriumRequest, EvalEndpoint, ListingEndpoint, OptimizeEndpoint, OptimizeRequest, Service,
-    ServiceConfig, SweepEndpoint, SweepRequest, CACHE_HEADER, MAX_GRID_AXIS, SERVE_SCHEMA,
+    error_response, eval_error_response, http_error_response, Endpoints, Executor, Service,
+    ServiceConfig, CACHE_HEADER, SERVE_SCHEMA,
 };
 pub use sha256::{hex, sha256, Digest};

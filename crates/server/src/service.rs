@@ -1,46 +1,39 @@
-//! The evaluation service: routing, request decoding, the result cache
-//! and structured error bodies — everything between a parsed
-//! [`Request`] and a [`Response`], independent of any socket.
+//! The evaluation service: routing, the result cache and structured
+//! error bodies — everything between a parsed [`Request`] and a
+//! [`Response`], independent of any socket.
 //!
-//! The service does not know how reports are built: the report
-//! producers are **injected** as [`Endpoints`] closures (the `redeval`
-//! CLI wires them to its report registry and batch engine). What the
-//! service owns is the serving contract:
+//! The service does not know how reports are built: one report
+//! executor is **injected** through [`Endpoints`] (the `redeval` CLI
+//! wires it to its report builders and batch engine). What the service
+//! owns is the serving contract:
 //!
-//! * bodies are validated through [`ScenarioDoc::from_json`] /
-//!   [`ScenarioDoc::from_value`] — the same dotted-path validation the
-//!   CLI uses — and every rejection is a structured `Report` body with
-//!   `ok: false`, never an echo of raw request bytes;
-//! * successful `POST /v1/eval`, `POST /v1/sweep`, `POST /v1/optimize`
-//!   and `POST /v1/equilibrium` responses are memoized in a
-//!   content-addressed
-//!   [`ResultCache`]: the key is the
-//!   SHA-256 of [`cache_key_bytes`] over the request kind, the
-//!   canonicalized grid parameters and the **canonical** serialization
-//!   of the scenario document, so two textually different bodies naming
-//!   the same scenario share one entry, and a hit is byte-identical to a
-//!   recompute by construction;
+//! * every `POST /v1/<kind>` body is decoded into one typed
+//!   [`AnalysisRequest`] by [`AnalysisRequest::from_json`] — the same
+//!   dotted-path validation the CLI uses — and every rejection is a
+//!   structured `Report` body with `ok: false`, never an echo of raw
+//!   request bytes;
+//! * successful responses are memoized in a content-addressed
+//!   [`ResultCache`] under [`AnalysisRequest::cache_key`], so two
+//!   textually different bodies naming the same analysis share one
+//!   entry, and a hit is byte-identical to a recompute by construction;
 //! * `POST /v1/generate` runs the seeded scenario generators in-process
 //!   (no injection needed — generation is pure core code) and returns
-//!   the canonical document bytes, memoized under the clamped
-//!   parameters;
+//!   the canonical document bytes;
 //! * `GET /v1/stats` exposes the cache and request counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use redeval::decision::ScatterBounds;
-use redeval::output::{cache_key_bytes, Json, Report, Value};
-use redeval::scenario::generate::{self, Family, GenParams};
-use redeval::scenario::ScenarioDoc;
-use redeval::{EvalError, PatchPolicy, ScenarioError};
+use redeval::output::{Report, Value};
+use redeval::{EvalError, ScenarioError};
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::disk::{DiskCache, DiskStats};
 use crate::http::{HttpError, Limits, Request, Response};
 use crate::metrics::ServiceMetrics;
 use crate::prometheus;
-use crate::sha256::{sha256, Digest};
+use crate::request::{AnalysisKind, AnalysisRequest};
+use crate::sha256::Digest;
 
 /// Identifies the serving schema (bumped on breaking endpoint changes).
 pub const SERVE_SCHEMA: &str = "redeval-serve/1";
@@ -50,89 +43,20 @@ pub const SERVE_SCHEMA: &str = "redeval-serve/1";
 /// (recomputed).
 pub const CACHE_HEADER: &str = "X-Redeval-Cache";
 
-/// Most entries accepted in a sweep request's grid-parameter arrays.
-pub const MAX_GRID_AXIS: usize = 32;
+/// The injected report executor: builds the report of an eval, sweep,
+/// optimize or equilibrium request.
+pub type Executor = Box<dyn Fn(&AnalysisRequest) -> Result<Report, EvalError> + Send + Sync>;
 
-/// A decoded `POST /v1/sweep` body: the embedded scenario document plus
-/// the optional grid axes layered over it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRequest {
-    /// The scenario document (fully validated).
-    pub doc: ScenarioDoc,
-    /// Patch-interval variants in days, applied to every tier.
-    pub patch_windows_days: Option<Vec<f64>>,
-    /// Patch policies overriding the document's list.
-    pub policies: Option<Vec<PatchPolicy>>,
-    /// Replaces the document's designs with the full design space
-    /// `1..=max_redundancy` per tier.
-    pub max_redundancy: Option<u32>,
-}
-
-/// A decoded `POST /v1/optimize` body: the embedded scenario document
-/// plus the pruned-search knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizeRequest {
-    /// The scenario document (fully validated).
-    pub doc: ScenarioDoc,
-    /// Patch policies overriding the document's list.
-    pub policies: Option<Vec<PatchPolicy>>,
-    /// Per-tier count bound of the searched space (default
-    /// [`redeval::optimize::DEFAULT_MAX_REDUNDANCY`]).
-    pub max_redundancy: Option<u32>,
-    /// Administrator bounds (φ, ψ) selecting the satisfying region.
-    pub bounds: Option<ScatterBounds>,
-}
-
-/// A boxed `POST /v1/eval` report producer.
-pub type EvalEndpoint = Box<dyn Fn(&ScenarioDoc) -> Result<Report, EvalError> + Send + Sync>;
-
-/// A boxed `POST /v1/sweep` report producer.
-pub type SweepEndpoint = Box<dyn Fn(&SweepRequest) -> Result<Report, EvalError> + Send + Sync>;
-
-/// A decoded `POST /v1/equilibrium` body: the embedded scenario
-/// document plus the Gauss-Seidel iteration knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EquilibriumRequest {
-    /// The scenario document (fully validated).
-    pub doc: ScenarioDoc,
-    /// Patch policies overriding the document's list (the defender's
-    /// policy axis).
-    pub policies: Option<Vec<PatchPolicy>>,
-    /// Per-tier count bound of the defender's design space (default
-    /// [`redeval::optimize::DEFAULT_MAX_REDUNDANCY`]).
-    pub max_redundancy: Option<u32>,
-    /// Gauss-Seidel round cap (default
-    /// [`redeval::equilibrium::DEFAULT_MAX_ITERS`]).
-    pub max_iters: Option<u32>,
-}
-
-/// A boxed `POST /v1/optimize` report producer.
-pub type OptimizeEndpoint =
-    Box<dyn Fn(&OptimizeRequest) -> Result<Report, EvalError> + Send + Sync>;
-
-/// A boxed `POST /v1/equilibrium` report producer.
-pub type EquilibriumEndpoint =
-    Box<dyn Fn(&EquilibriumRequest) -> Result<Report, EvalError> + Send + Sync>;
-
-/// A boxed parameterless listing producer (`GET` registries).
-pub type ListingEndpoint = Box<dyn Fn() -> Report + Send + Sync>;
-
-/// The injected report producers (see the [module docs](self)).
+/// What the service cannot build itself (see the [module docs](self)):
+/// one report executor and the two registry listings.
 pub struct Endpoints {
-    /// Builds the `POST /v1/eval` report for a validated document.
-    pub eval: EvalEndpoint,
-    /// Builds the `POST /v1/sweep` report.
-    pub sweep: SweepEndpoint,
-    /// Builds the `POST /v1/optimize` report (pruned design-space
-    /// search).
-    pub optimize: OptimizeEndpoint,
-    /// Builds the `POST /v1/equilibrium` report (attacker–defender
-    /// best-response iteration).
-    pub equilibrium: EquilibriumEndpoint,
+    /// The report executor. Generate requests never reach it: the
+    /// service runs the generators itself.
+    pub execute: Executor,
     /// The `GET /v1/scenarios` listing (the bundled scenario registry).
-    pub scenarios: ListingEndpoint,
+    pub scenarios: Report,
     /// The `GET /v1/reports` listing (the report registry).
-    pub reports: ListingEndpoint,
+    pub reports: Report,
 }
 
 impl std::fmt::Debug for Endpoints {
@@ -162,9 +86,11 @@ impl Default for ServiceConfig {
 /// The routing core: dispatches parsed requests, memoizes results,
 /// counts traffic. Socket-free — the loopback server and in-process
 /// tests drive the same `handle`.
-#[derive(Debug)]
 pub struct Service {
-    endpoints: Endpoints,
+    execute: Executor,
+    /// The listings, rendered once: they are registry constants.
+    scenarios: String,
+    reports: String,
     cache: ResultCache,
     disk: Option<DiskCache>,
     metrics: ServiceMetrics,
@@ -174,11 +100,19 @@ pub struct Service {
     started: Instant,
 }
 
+impl std::fmt::Debug for Service {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Service").finish_non_exhaustive()
+    }
+}
+
 impl Service {
     /// A service over the given endpoints (memory cache tier only).
     pub fn new(endpoints: Endpoints, config: ServiceConfig) -> Self {
         Service {
-            endpoints,
+            execute: endpoints.execute,
+            scenarios: endpoints.scenarios.to_json(),
+            reports: endpoints.reports.to_json(),
             cache: ResultCache::new(config.cache_capacity),
             disk: None,
             metrics: ServiceMetrics::new(),
@@ -247,6 +181,17 @@ impl Service {
     /// response (405s count against the endpoint they aimed at, 404s
     /// against `other`).
     fn route(&self, req: &Request) -> (&'static str, Response) {
+        if let Some(kind) = req
+            .path
+            .strip_prefix("/v1/")
+            .and_then(AnalysisKind::from_name)
+        {
+            let response = match req.method.as_str() {
+                "POST" => self.analyze(kind, &req.body),
+                _ => method_not_allowed("POST"),
+            };
+            return (kind.name(), response);
+        }
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => (
                 "healthz",
@@ -255,26 +200,10 @@ impl Service {
                     format!("{{\"ok\": true, \"schema\": \"{SERVE_SCHEMA}\"}}\n"),
                 ),
             ),
-            ("GET", "/v1/scenarios") => (
-                "scenarios",
-                Response::json(200, (self.endpoints.scenarios)().to_json()),
-            ),
-            ("GET", "/v1/reports") => (
-                "reports",
-                Response::json(200, (self.endpoints.reports)().to_json()),
-            ),
+            ("GET", "/v1/scenarios") => ("scenarios", Response::json(200, self.scenarios.clone())),
+            ("GET", "/v1/reports") => ("reports", Response::json(200, self.reports.clone())),
             ("GET", "/v1/stats") => ("stats", Response::json(200, self.stats_report().to_json())),
             ("GET", "/metrics") => ("metrics", self.metrics_response()),
-            ("POST", "/v1/eval") => ("eval", self.eval(req)),
-            ("POST", "/v1/sweep") => ("sweep", self.sweep(req)),
-            ("POST", "/v1/optimize") => ("optimize", self.optimize(req)),
-            ("POST", "/v1/equilibrium") => ("equilibrium", self.equilibrium(req)),
-            ("POST", "/v1/generate") => ("generate", self.generate(req)),
-            (_, "/v1/eval") => ("eval", method_not_allowed("POST")),
-            (_, "/v1/sweep") => ("sweep", method_not_allowed("POST")),
-            (_, "/v1/optimize") => ("optimize", method_not_allowed("POST")),
-            (_, "/v1/equilibrium") => ("equilibrium", method_not_allowed("POST")),
-            (_, "/v1/generate") => ("generate", method_not_allowed("POST")),
             (_, "/healthz") => ("healthz", method_not_allowed("GET")),
             (_, "/v1/scenarios") => ("scenarios", method_not_allowed("GET")),
             (_, "/v1/reports") => ("reports", method_not_allowed("GET")),
@@ -416,127 +345,36 @@ impl Service {
         r
     }
 
-    /// `POST /v1/eval`: body is a scenario document.
-    fn eval(&self, req: &Request) -> Response {
-        let doc = match decode_body_doc(&req.body) {
-            Ok(doc) => doc,
-            Err(resp) => return *resp,
+    /// `POST /v1/<kind>`: decode → key → cache lookup → compute →
+    /// remember. Generate requests produce the canonical document
+    /// bytes; every other kind produces the executor's report.
+    fn analyze(&self, kind: AnalysisKind, body: &[u8]) -> Response {
+        let Ok(text) = std::str::from_utf8(body) else {
+            return error_response(
+                400,
+                "encoding",
+                vec![(
+                    "message".into(),
+                    Value::from("request body is not valid UTF-8"),
+                )],
+            );
         };
-        let canonical = doc.to_json();
-        let key = sha256(&cache_key_bytes("eval", &Json::Null, &canonical));
+        let request = match AnalysisRequest::from_json(kind, text) {
+            Ok(request) => request,
+            Err(e) => return eval_error_response(&e),
+        };
+        let key = request.cache_key();
         if let Some((bytes, tier)) = self.cached(&key) {
             return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
         }
-        match (self.endpoints.eval)(&doc) {
-            Ok(report) => self.respond_and_cache(key, report),
-            Err(e) => eval_error_response(&e),
+        let body = match &request {
+            AnalysisRequest::Generate(g) => g.generate().to_json(),
+            _ => match (self.execute)(&request) {
+                Ok(report) => report.to_json(),
+                Err(e) => return eval_error_response(&e),
+            },
         }
-    }
-
-    /// `POST /v1/sweep`: body embeds the document plus grid parameters.
-    fn sweep(&self, req: &Request) -> Response {
-        let sweep_req = match decode_sweep_body(&req.body) {
-            Ok(r) => r,
-            Err(resp) => return *resp,
-        };
-        let canonical = sweep_req.doc.to_json();
-        let key = sha256(&cache_key_bytes(
-            "sweep",
-            &sweep_params_json(&sweep_req),
-            &canonical,
-        ));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        match (self.endpoints.sweep)(&sweep_req) {
-            Ok(report) => self.respond_and_cache(key, report),
-            Err(e) => eval_error_response(&e),
-        }
-    }
-
-    /// `POST /v1/optimize`: body embeds the document plus the search
-    /// knobs; same clamp/reject discipline and content-addressed
-    /// caching as `/v1/sweep`.
-    fn optimize(&self, req: &Request) -> Response {
-        let opt_req = match decode_optimize_body(&req.body) {
-            Ok(r) => r,
-            Err(resp) => return *resp,
-        };
-        let canonical = opt_req.doc.to_json();
-        let key = sha256(&cache_key_bytes(
-            "optimize",
-            &optimize_params_json(&opt_req),
-            &canonical,
-        ));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        match (self.endpoints.optimize)(&opt_req) {
-            Ok(report) => self.respond_and_cache(key, report),
-            Err(e) => eval_error_response(&e),
-        }
-    }
-
-    /// `POST /v1/equilibrium`: body embeds the document plus the
-    /// iteration knobs; same clamp/reject discipline and
-    /// content-addressed caching as `/v1/optimize`.
-    fn equilibrium(&self, req: &Request) -> Response {
-        let eq_req = match decode_equilibrium_body(&req.body) {
-            Ok(r) => r,
-            Err(resp) => return *resp,
-        };
-        let canonical = eq_req.doc.to_json();
-        let key = sha256(&cache_key_bytes(
-            "equilibrium",
-            &equilibrium_params_json(&eq_req),
-            &canonical,
-        ));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        match (self.endpoints.equilibrium)(&eq_req) {
-            Ok(report) => self.respond_and_cache(key, report),
-            Err(e) => eval_error_response(&e),
-        }
-    }
-
-    /// `POST /v1/generate`: body names a generator family plus optional
-    /// knobs; the response is the canonical scenario document — the
-    /// same bytes `redeval gen` writes and the in-process generator
-    /// returns. Cached under the *clamped* parameters, so two requests
-    /// that resolve to the same document share one entry.
-    fn generate(&self, req: &Request) -> Response {
-        let (family, params, seed) = match decode_generate_body(&req.body) {
-            Ok(t) => t,
-            Err(resp) => return *resp,
-        };
-        let clamped = params.clamped(family);
-        let params_json = Json::Obj(vec![
-            ("family".to_string(), Json::Str(family.key().to_string())),
-            ("seed".to_string(), Json::Num(seed as f64)),
-            ("tiers".to_string(), Json::Num(f64::from(clamped.tiers))),
-            (
-                "redundancy".to_string(),
-                Json::Num(f64::from(clamped.redundancy)),
-            ),
-            ("designs".to_string(), Json::Num(f64::from(clamped.designs))),
-            (
-                "policies".to_string(),
-                Json::Num(f64::from(clamped.policies)),
-            ),
-        ]);
-        let key = sha256(&cache_key_bytes("generate", &params_json, ""));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        let doc = generate::generate(family, &params, seed);
-        let body = doc.to_json().into_bytes();
-        self.remember(key, &body);
-        Response::json(200, body).with_header(CACHE_HEADER, "miss")
-    }
-
-    fn respond_and_cache(&self, key: Digest, report: Report) -> Response {
-        let body = report.to_json().into_bytes();
+        .into_bytes();
         self.remember(key, &body);
         Response::json(200, body).with_header(CACHE_HEADER, "miss")
     }
@@ -546,586 +384,6 @@ impl Service {
 /// realistic uptime).
 fn int(x: u64) -> Value {
     Value::from(i64::try_from(x).unwrap_or(i64::MAX))
-}
-
-/// The canonical grid-parameter value hashed into a sweep cache key:
-/// every axis present (absent ⇒ `null`), floats canonical, policies in
-/// their `Display` form — so `"all"` and `"patch all"` share an entry.
-fn sweep_params_json(req: &SweepRequest) -> Json {
-    let days = match &req.patch_windows_days {
-        None => Json::Null,
-        Some(days) => Json::Arr(days.iter().map(|&d| Json::Num(d)).collect()),
-    };
-    let policies = match &req.policies {
-        None => Json::Null,
-        Some(ps) => Json::Arr(ps.iter().map(|p| Json::Str(p.to_string())).collect()),
-    };
-    let maxr = match req.max_redundancy {
-        None => Json::Null,
-        Some(m) => Json::Num(f64::from(m)),
-    };
-    Json::Obj(vec![
-        ("patch_windows_days".to_string(), days),
-        ("policies".to_string(), policies),
-        ("max_redundancy".to_string(), maxr),
-    ])
-}
-
-/// The canonical search-parameter value hashed into an optimize cache
-/// key: every knob present (absent ⇒ `null`), policies in `Display`
-/// form, bounds as a two-key object.
-fn optimize_params_json(req: &OptimizeRequest) -> Json {
-    let policies = match &req.policies {
-        None => Json::Null,
-        Some(ps) => Json::Arr(ps.iter().map(|p| Json::Str(p.to_string())).collect()),
-    };
-    let maxr = match req.max_redundancy {
-        None => Json::Null,
-        Some(m) => Json::Num(f64::from(m)),
-    };
-    let bounds = match &req.bounds {
-        None => Json::Null,
-        Some(b) => Json::Obj(vec![
-            ("max_asp".to_string(), Json::Num(b.max_asp)),
-            ("min_coa".to_string(), Json::Num(b.min_coa)),
-        ]),
-    };
-    Json::Obj(vec![
-        ("policies".to_string(), policies),
-        ("max_redundancy".to_string(), maxr),
-        ("bounds".to_string(), bounds),
-    ])
-}
-
-/// The canonical iteration-parameter value hashed into an equilibrium
-/// cache key: every knob present (absent ⇒ `null`), policies in
-/// `Display` form.
-fn equilibrium_params_json(req: &EquilibriumRequest) -> Json {
-    let policies = match &req.policies {
-        None => Json::Null,
-        Some(ps) => Json::Arr(ps.iter().map(|p| Json::Str(p.to_string())).collect()),
-    };
-    let maxr = match req.max_redundancy {
-        None => Json::Null,
-        Some(m) => Json::Num(f64::from(m)),
-    };
-    let iters = match req.max_iters {
-        None => Json::Null,
-        Some(m) => Json::Num(f64::from(m)),
-    };
-    Json::Obj(vec![
-        ("policies".to_string(), policies),
-        ("max_redundancy".to_string(), maxr),
-        ("max_iters".to_string(), iters),
-    ])
-}
-
-/// Decodes a `POST /v1/equilibrium` body:
-/// `{"scenario": <doc>, "policies"?, "max_redundancy"?, "max_iters"?}`.
-/// Unknown keys are rejected like everywhere else in the scenario
-/// schema.
-fn decode_equilibrium_body(body: &[u8]) -> Result<EquilibriumRequest, Box<Response>> {
-    let bad = |at: &str, message: String| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Invalid {
-                at: at.to_string(),
-                message,
-            },
-        )))
-    };
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    let root = redeval::output::parse_json(text).map_err(|e| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Json {
-                line: e.line,
-                col: e.col,
-                message: e.message,
-            },
-        )))
-    })?;
-    let entries = root
-        .as_obj()
-        .ok_or_else(|| bad("request", "expected an object".to_string()))?;
-    for (k, _) in entries {
-        if !matches!(
-            k.as_str(),
-            "scenario" | "policies" | "max_redundancy" | "max_iters"
-        ) {
-            return Err(bad(
-                "request",
-                format!("unknown key `{}`", redeval::output::snippet(k)),
-            ));
-        }
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let doc_value = field("scenario").ok_or_else(|| {
-        bad(
-            "request",
-            "missing key `scenario` (the embedded scenario document)".to_string(),
-        )
-    })?;
-    let doc = ScenarioDoc::from_value(doc_value).map_err(|e| Box::new(eval_error_response(&e)))?;
-
-    let policies = match field("policies") {
-        None => None,
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| bad("policies", "expected an array".to_string()))?;
-            if items.is_empty() || items.len() > MAX_GRID_AXIS {
-                return Err(bad(
-                    "policies",
-                    format!("expected 1..={MAX_GRID_AXIS} entries"),
-                ));
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let at = format!("policies[{i}]");
-                let s = item
-                    .as_str()
-                    .ok_or_else(|| bad(&at, "expected a policy string".to_string()))?;
-                let p: PatchPolicy = s.parse().map_err(|e| bad(&at, format!("{e}")))?;
-                out.push(p);
-            }
-            Some(out)
-        }
-    };
-    let max_redundancy = match field("max_redundancy") {
-        None => None,
-        Some(v) => {
-            let m = v
-                .as_f64()
-                .filter(|m| m.fract() == 0.0 && (1.0..=8.0).contains(m));
-            match m {
-                Some(m) => Some(m as u32),
-                None => {
-                    return Err(bad(
-                        "max_redundancy",
-                        "expected an integer in 1..=8".to_string(),
-                    ));
-                }
-            }
-        }
-    };
-    let max_iters = match field("max_iters") {
-        None => None,
-        Some(v) => {
-            let m = v
-                .as_f64()
-                .filter(|m| m.fract() == 0.0 && (1.0..=64.0).contains(m));
-            match m {
-                Some(m) => Some(m as u32),
-                None => {
-                    return Err(bad(
-                        "max_iters",
-                        "expected an integer in 1..=64".to_string(),
-                    ));
-                }
-            }
-        }
-    };
-    Ok(EquilibriumRequest {
-        doc,
-        policies,
-        max_redundancy,
-        max_iters,
-    })
-}
-
-/// Decodes a `POST /v1/optimize` body:
-/// `{"scenario": <doc>, "policies"?, "max_redundancy"?, "bounds"?}`
-/// with `bounds = {"max_asp": φ, "min_coa": ψ}`. Unknown keys are
-/// rejected like everywhere else in the scenario schema.
-fn decode_optimize_body(body: &[u8]) -> Result<OptimizeRequest, Box<Response>> {
-    let bad = |at: &str, message: String| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Invalid {
-                at: at.to_string(),
-                message,
-            },
-        )))
-    };
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    let root = redeval::output::parse_json(text).map_err(|e| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Json {
-                line: e.line,
-                col: e.col,
-                message: e.message,
-            },
-        )))
-    })?;
-    let entries = root
-        .as_obj()
-        .ok_or_else(|| bad("request", "expected an object".to_string()))?;
-    for (k, _) in entries {
-        if !matches!(
-            k.as_str(),
-            "scenario" | "policies" | "max_redundancy" | "bounds"
-        ) {
-            return Err(bad(
-                "request",
-                format!("unknown key `{}`", redeval::output::snippet(k)),
-            ));
-        }
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let doc_value = field("scenario").ok_or_else(|| {
-        bad(
-            "request",
-            "missing key `scenario` (the embedded scenario document)".to_string(),
-        )
-    })?;
-    let doc = ScenarioDoc::from_value(doc_value).map_err(|e| Box::new(eval_error_response(&e)))?;
-
-    let policies = match field("policies") {
-        None => None,
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| bad("policies", "expected an array".to_string()))?;
-            if items.is_empty() || items.len() > MAX_GRID_AXIS {
-                return Err(bad(
-                    "policies",
-                    format!("expected 1..={MAX_GRID_AXIS} entries"),
-                ));
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let at = format!("policies[{i}]");
-                let s = item
-                    .as_str()
-                    .ok_or_else(|| bad(&at, "expected a policy string".to_string()))?;
-                let p: PatchPolicy = s.parse().map_err(|e| bad(&at, format!("{e}")))?;
-                out.push(p);
-            }
-            Some(out)
-        }
-    };
-    let max_redundancy = match field("max_redundancy") {
-        None => None,
-        Some(v) => {
-            let m = v
-                .as_f64()
-                .filter(|m| m.fract() == 0.0 && (1.0..=8.0).contains(m));
-            match m {
-                Some(m) => Some(m as u32),
-                None => {
-                    return Err(bad(
-                        "max_redundancy",
-                        "expected an integer in 1..=8".to_string(),
-                    ));
-                }
-            }
-        }
-    };
-    let bounds = match field("bounds") {
-        None => None,
-        Some(v) => {
-            let obj = v.as_obj().ok_or_else(|| {
-                bad(
-                    "bounds",
-                    "expected an object {\"max_asp\": φ, \"min_coa\": ψ}".to_string(),
-                )
-            })?;
-            for (k, _) in obj {
-                if !matches!(k.as_str(), "max_asp" | "min_coa") {
-                    return Err(bad(
-                        "bounds",
-                        format!("unknown key `{}`", redeval::output::snippet(k)),
-                    ));
-                }
-            }
-            let num = |name: &'static str| -> Result<f64, Box<Response>> {
-                obj.iter()
-                    .find(|(k, _)| k == name)
-                    .and_then(|(_, v)| v.as_f64())
-                    .filter(|n| n.is_finite())
-                    .ok_or_else(|| {
-                        bad(
-                            &format!("bounds.{name}"),
-                            "expected a finite number".to_string(),
-                        )
-                    })
-            };
-            Some(ScatterBounds {
-                max_asp: num("max_asp")?,
-                min_coa: num("min_coa")?,
-            })
-        }
-    };
-    Ok(OptimizeRequest {
-        doc,
-        policies,
-        max_redundancy,
-        bounds,
-    })
-}
-
-/// Decodes a request body that *is* a scenario document.
-fn decode_body_doc(body: &[u8]) -> Result<ScenarioDoc, Box<Response>> {
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    ScenarioDoc::from_json(text).map_err(|e| Box::new(eval_error_response(&e)))
-}
-
-/// Decodes a `POST /v1/sweep` body:
-/// `{"scenario": <doc>, "patch_windows_days"?, "policies"?,
-/// "max_redundancy"?}`. Unknown keys are rejected like everywhere else
-/// in the scenario schema.
-fn decode_sweep_body(body: &[u8]) -> Result<SweepRequest, Box<Response>> {
-    let bad = |at: &str, message: String| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Invalid {
-                at: at.to_string(),
-                message,
-            },
-        )))
-    };
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    let root = redeval::output::parse_json(text).map_err(|e| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Json {
-                line: e.line,
-                col: e.col,
-                message: e.message,
-            },
-        )))
-    })?;
-    let entries = root
-        .as_obj()
-        .ok_or_else(|| bad("request", "expected an object".to_string()))?;
-    for (k, _) in entries {
-        if !matches!(
-            k.as_str(),
-            "scenario" | "patch_windows_days" | "policies" | "max_redundancy"
-        ) {
-            return Err(bad(
-                "request",
-                format!("unknown key `{}`", redeval::output::snippet(k)),
-            ));
-        }
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let doc_value = field("scenario").ok_or_else(|| {
-        bad(
-            "request",
-            "missing key `scenario` (the embedded scenario document)".to_string(),
-        )
-    })?;
-    let doc = ScenarioDoc::from_value(doc_value).map_err(|e| Box::new(eval_error_response(&e)))?;
-
-    let patch_windows_days = match field("patch_windows_days") {
-        None => None,
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| bad("patch_windows_days", "expected an array".to_string()))?;
-            if items.is_empty() || items.len() > MAX_GRID_AXIS {
-                return Err(bad(
-                    "patch_windows_days",
-                    format!("expected 1..={MAX_GRID_AXIS} entries"),
-                ));
-            }
-            let mut days = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let d = item.as_f64().filter(|d| d.is_finite() && *d > 0.0);
-                match d {
-                    Some(d) => days.push(d),
-                    None => {
-                        return Err(bad(
-                            &format!("patch_windows_days[{i}]"),
-                            "expected a positive number of days".to_string(),
-                        ));
-                    }
-                }
-            }
-            Some(days)
-        }
-    };
-    let policies = match field("policies") {
-        None => None,
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| bad("policies", "expected an array".to_string()))?;
-            if items.is_empty() || items.len() > MAX_GRID_AXIS {
-                return Err(bad(
-                    "policies",
-                    format!("expected 1..={MAX_GRID_AXIS} entries"),
-                ));
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let at = format!("policies[{i}]");
-                let s = item
-                    .as_str()
-                    .ok_or_else(|| bad(&at, "expected a policy string".to_string()))?;
-                let p: PatchPolicy = s.parse().map_err(|e| bad(&at, format!("{e}")))?;
-                out.push(p);
-            }
-            Some(out)
-        }
-    };
-    let max_redundancy = match field("max_redundancy") {
-        None => None,
-        Some(v) => {
-            let m = v
-                .as_f64()
-                .filter(|m| m.fract() == 0.0 && (1.0..=8.0).contains(m));
-            match m {
-                Some(m) => Some(m as u32),
-                None => {
-                    return Err(bad(
-                        "max_redundancy",
-                        "expected an integer in 1..=8".to_string(),
-                    ));
-                }
-            }
-        }
-    };
-    Ok(SweepRequest {
-        doc,
-        patch_windows_days,
-        policies,
-        max_redundancy,
-    })
-}
-
-/// Decodes a `POST /v1/generate` body:
-/// `{"family": <str>, "seed"?, "tiers"?, "redundancy"?, "designs"?,
-/// "policies"?}`. Knob values must be non-negative integers; they are
-/// clamped to the family's documented ranges downstream rather than
-/// rejected, matching the CLI and the in-process API.
-fn decode_generate_body(body: &[u8]) -> Result<(Family, GenParams, u64), Box<Response>> {
-    let bad = |at: &str, message: String| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Invalid {
-                at: at.to_string(),
-                message,
-            },
-        )))
-    };
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    let root = redeval::output::parse_json(text).map_err(|e| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Json {
-                line: e.line,
-                col: e.col,
-                message: e.message,
-            },
-        )))
-    })?;
-    let entries = root
-        .as_obj()
-        .ok_or_else(|| bad("request", "expected an object".to_string()))?;
-    for (k, _) in entries {
-        if !matches!(
-            k.as_str(),
-            "family" | "seed" | "tiers" | "redundancy" | "designs" | "policies"
-        ) {
-            return Err(bad(
-                "request",
-                format!("unknown key `{}`", redeval::output::snippet(k)),
-            ));
-        }
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let family_value = field("family").ok_or_else(|| {
-        bad(
-            "family",
-            "missing key `family` (one of ecommerce_fleet, iot_swarm, microservice_mesh)"
-                .to_string(),
-        )
-    })?;
-    let family_str = family_value
-        .as_str()
-        .ok_or_else(|| bad("family", "expected a family name string".to_string()))?;
-    let family = Family::parse(family_str).ok_or_else(|| {
-        bad(
-            "family",
-            format!(
-                "unknown family `{}` (one of ecommerce_fleet, iot_swarm, microservice_mesh)",
-                redeval::output::snippet(family_str)
-            ),
-        )
-    })?;
-    // Largest f64-exact integer: seeds round-trip through JSON losslessly.
-    const MAX_SEED: f64 = 9_007_199_254_740_992.0; // 2^53
-    let uint = |name: &'static str, max: f64| -> Result<Option<u64>, Box<Response>> {
-        match field(name) {
-            None => Ok(None),
-            Some(v) => match v
-                .as_f64()
-                .filter(|n| n.fract() == 0.0 && (0.0..=max).contains(n))
-            {
-                Some(n) => Ok(Some(n as u64)),
-                None => Err(bad(
-                    name,
-                    format!("expected a non-negative integer (at most {max:.0})"),
-                )),
-            },
-        }
-    };
-    let seed = uint("seed", MAX_SEED)?.unwrap_or(0);
-    let defaults = GenParams::default();
-    let knob = |value: Option<u64>, default: u32| {
-        value.map_or(default, |n| u32::try_from(n).unwrap_or(u32::MAX))
-    };
-    let params = GenParams {
-        tiers: knob(uint("tiers", f64::from(u32::MAX))?, defaults.tiers),
-        redundancy: knob(
-            uint("redundancy", f64::from(u32::MAX))?,
-            defaults.redundancy,
-        ),
-        designs: knob(uint("designs", f64::from(u32::MAX))?, defaults.designs),
-        policies: knob(uint("policies", f64::from(u32::MAX))?, defaults.policies),
-    };
-    Ok((family, params, seed))
 }
 
 /// A structured error body: a `Report` named `error` with `ok: false`
@@ -1213,55 +471,64 @@ pub fn http_error_response(e: &HttpError) -> Option<Response> {
 mod tests {
     use super::*;
     use redeval::scenario::builtin;
+    use redeval::scenario::generate::{self, Family, GenParams};
 
     /// Cheap deterministic endpoints: no SRN solves, but real documents
     /// and real cache behaviour.
     fn test_service(cache_capacity: usize) -> Service {
         let endpoints = Endpoints {
-            eval: Box::new(|doc| {
-                let mut r = Report::new(format!("eval_{}", doc.name), "stub eval");
-                r.keys([("tiers", Value::from(doc.tiers.len()))]);
-                Ok(r)
+            execute: Box::new(|req| {
+                Ok(match req {
+                    AnalysisRequest::Eval(doc) => {
+                        let mut r = Report::new(format!("eval_{}", doc.name), "stub eval");
+                        r.keys([("tiers", Value::from(doc.tiers.len()))]);
+                        r
+                    }
+                    AnalysisRequest::Sweep(req) => {
+                        let mut r = Report::new(format!("sweep_{}", req.doc.name), "stub sweep");
+                        r.keys([(
+                            "axes",
+                            Value::from(
+                                req.patch_windows_days.as_ref().map_or(0, Vec::len)
+                                    + req.policies.as_ref().map_or(0, Vec::len),
+                            ),
+                        )]);
+                        r
+                    }
+                    AnalysisRequest::Optimize(req) => {
+                        let mut r =
+                            Report::new(format!("optimize_{}", req.doc.name), "stub optimize");
+                        r.keys([
+                            (
+                                "max_redundancy",
+                                Value::from(i64::from(req.max_redundancy.unwrap_or(0))),
+                            ),
+                            ("bounded", Value::from(req.bounds.is_some())),
+                        ]);
+                        r
+                    }
+                    AnalysisRequest::Equilibrium(req) => {
+                        let mut r = Report::new(
+                            format!("equilibrium_{}", req.doc.name),
+                            "stub equilibrium",
+                        );
+                        r.keys([
+                            (
+                                "max_redundancy",
+                                Value::from(i64::from(req.max_redundancy.unwrap_or(0))),
+                            ),
+                            (
+                                "max_iters",
+                                Value::from(i64::from(req.max_iters.unwrap_or(0))),
+                            ),
+                        ]);
+                        r
+                    }
+                    AnalysisRequest::Generate(_) => unreachable!("the service generates"),
+                })
             }),
-            sweep: Box::new(|req| {
-                let mut r = Report::new(format!("sweep_{}", req.doc.name), "stub sweep");
-                r.keys([(
-                    "axes",
-                    Value::from(
-                        req.patch_windows_days.as_ref().map_or(0, Vec::len)
-                            + req.policies.as_ref().map_or(0, Vec::len),
-                    ),
-                )]);
-                Ok(r)
-            }),
-            optimize: Box::new(|req| {
-                let mut r = Report::new(format!("optimize_{}", req.doc.name), "stub optimize");
-                r.keys([
-                    (
-                        "max_redundancy",
-                        Value::from(i64::from(req.max_redundancy.unwrap_or(0))),
-                    ),
-                    ("bounded", Value::from(req.bounds.is_some())),
-                ]);
-                Ok(r)
-            }),
-            equilibrium: Box::new(|req| {
-                let mut r =
-                    Report::new(format!("equilibrium_{}", req.doc.name), "stub equilibrium");
-                r.keys([
-                    (
-                        "max_redundancy",
-                        Value::from(i64::from(req.max_redundancy.unwrap_or(0))),
-                    ),
-                    (
-                        "max_iters",
-                        Value::from(i64::from(req.max_iters.unwrap_or(0))),
-                    ),
-                ]);
-                Ok(r)
-            }),
-            scenarios: Box::new(|| Report::new("scenario_list", "stub scenarios")),
-            reports: Box::new(|| Report::new("list", "stub reports")),
+            scenarios: Report::new("scenario_list", "stub scenarios"),
+            reports: Report::new("list", "stub reports"),
         };
         Service::new(
             endpoints,
@@ -1778,12 +1045,9 @@ mod tests {
     #[test]
     fn solver_errors_are_500_not_400() {
         let endpoints = Endpoints {
-            eval: Box::new(|_| Err(EvalError::from(redeval_srn::SrnError::VanishingLoop))),
-            sweep: Box::new(|_| unreachable!()),
-            optimize: Box::new(|_| unreachable!()),
-            equilibrium: Box::new(|_| unreachable!()),
-            scenarios: Box::new(|| Report::new("scenario_list", "x")),
-            reports: Box::new(|| Report::new("list", "x")),
+            execute: Box::new(|_| Err(EvalError::from(redeval_srn::SrnError::VanishingLoop))),
+            scenarios: Report::new("scenario_list", "x"),
+            reports: Report::new("list", "x"),
         };
         let svc = Service::new(endpoints, ServiceConfig::default());
         let r = svc.handle(&Request::synthetic(

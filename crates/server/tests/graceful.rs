@@ -10,14 +10,16 @@ use std::time::{Duration, Instant};
 
 use redeval::output::Report;
 use redeval::scenario::builtin;
-use redeval_server::{Endpoints, Server, Service, ServiceConfig};
+use redeval_server::{AnalysisRequest, Endpoints, Server, Service, ServiceConfig};
 
 /// A service whose `/v1/sweep` sleeps `delay` before answering —
 /// standing in for a slow grid evaluation.
 fn slow_sweep_service(delay: Duration) -> Service {
     let endpoints = Endpoints {
-        eval: Box::new(|doc| Ok(Report::new(format!("eval_{}", doc.name), "stub"))),
-        sweep: Box::new(move |req| {
+        execute: Box::new(move |req| {
+            let AnalysisRequest::Sweep(req) = req else {
+                unreachable!()
+            };
             std::thread::sleep(delay);
             let mut r = Report::new(format!("sweep_{}", req.doc.name), "slow stub sweep");
             r.keys([(
@@ -26,10 +28,8 @@ fn slow_sweep_service(delay: Duration) -> Service {
             )]);
             Ok(r)
         }),
-        optimize: Box::new(|_| unreachable!()),
-        equilibrium: Box::new(|_| unreachable!()),
-        scenarios: Box::new(|| Report::new("scenario_list", "stub")),
-        reports: Box::new(|| Report::new("list", "stub")),
+        scenarios: Report::new("scenario_list", "stub"),
+        reports: Report::new("list", "stub"),
     };
     Service::new(endpoints, ServiceConfig::default())
 }
